@@ -159,9 +159,10 @@ seedSources(sim::Machine &machine, const CommOp &op)
     for (std::size_t f = 0; f < op.flows.size(); ++f) {
         const Flow &flow = op.flows[f];
         sim::NodeRam &ram = machine.node(flow.src).ram();
-        for (std::uint64_t i = 0; i < flow.words; ++i)
-            ram.writeWord(flow.srcWalk.elementAddr(ram, i),
-                          sourceValue(f, i));
+        sim::withCursor(flow.srcWalk, 0, [&](auto cur) {
+            for (std::uint64_t i = 0; i < flow.words; ++i, cur.advance())
+                ram.writeWord(cur.elementAddr(ram), sourceValue(f, i));
+        });
     }
 }
 
@@ -169,17 +170,19 @@ std::uint64_t
 verifyDelivery(sim::Machine &machine, const CommOp &op)
 {
     std::uint64_t mismatches = 0;
-    for (std::size_t f = 0; f < op.flows.size(); ++f) {
-        const Flow &flow = op.flows[f];
-        sim::NodeRam &src_ram = machine.node(flow.src).ram();
-        sim::NodeRam &dst_ram = machine.node(flow.dst).ram();
-        for (std::uint64_t i = 0; i < flow.words; ++i) {
-            std::uint64_t sent =
-                src_ram.readWord(flow.srcWalk.elementAddr(src_ram, i));
-            std::uint64_t got =
-                dst_ram.readWord(flow.dstWalk.elementAddr(dst_ram, i));
-            mismatches += sent != got;
-        }
+    for (const Flow &flow : op.flows) {
+        const sim::NodeRam &src_ram = machine.node(flow.src).ram();
+        const sim::NodeRam &dst_ram = machine.node(flow.dst).ram();
+        mismatches += sim::withCursor(flow.srcWalk, 0, [&](auto scur) {
+            return sim::withCursor(flow.dstWalk, 0, [&](auto dcur) {
+                std::uint64_t bad = 0;
+                for (std::uint64_t i = 0; i < flow.words;
+                     ++i, scur.advance(), dcur.advance())
+                    bad += src_ram.readWord(scur.elementAddr(src_ram)) !=
+                           dst_ram.readWord(dcur.elementAddr(dst_ram));
+                return bad;
+            });
+        });
     }
     return mismatches;
 }

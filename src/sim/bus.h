@@ -59,13 +59,46 @@ class Bus
      * Perform a transaction of @p bytes by @p master at time @p now.
      * @return total cycles until the transaction completes (wait +
      *         arbitration + transfer); 0 when the bus is unmodeled.
+     *         Inline: every word of a Paragon copy loop crosses it.
      */
-    Cycles transact(BusMaster master, Bytes bytes, Cycles now);
+    Cycles
+    transact(BusMaster master, Bytes bytes, Cycles now)
+    {
+        if (!modeled())
+            return 0;
+        if (bytes == 0)
+            zeroByteTransaction();
+        ++counters.transactions;
+
+        Cycles wait = busyUntil > now ? busyUntil - now : 0;
+        counters.waitCycles += wait;
+        Cycles start = now + wait;
+
+        Cycles arb = 0;
+        if (everOwned && master != lastOwner) {
+            arb = cfg.arbitrationCycles;
+            ++counters.ownerSwitches;
+        }
+        lastOwner = master;
+        everOwned = true;
+
+        // Power-of-two widths (every studied bus) divide by shifting.
+        Bytes rounded = bytes + cfg.bytesPerCycle - 1;
+        Cycles transfer = widthShift >= 0 ? rounded >> widthShift
+                                          : rounded / cfg.bytesPerCycle;
+        counters.busyCycles += arb + transfer;
+        busyUntil = start + arb + transfer;
+        return busyUntil - now;
+    }
 
     const BusStats &stats() const { return counters; }
 
   private:
+    [[noreturn]] static void zeroByteTransaction();
+
     BusConfig cfg;
+    /** log2(bytesPerCycle) for a power-of-two width, else -1. */
+    int widthShift = -1;
     BusStats counters;
     Cycles busyUntil = 0;
     BusMaster lastOwner = BusMaster::Processor;

@@ -1,5 +1,7 @@
 #include "cache.h"
 
+#include <bit>
+
 #include "util/logging.h"
 
 namespace ct::sim {
@@ -13,153 +15,48 @@ Cache::Cache(const CacheConfig &config) : cfg(config)
     Bytes line_count = cfg.sizeBytes / cfg.lineBytes;
     if (line_count % cfg.associativity != 0)
         util::fatal("Cache: line count not divisible by associativity");
-    numSets = line_count / cfg.associativity;
-    if (!isPowerOfTwo(numSets))
+    Bytes sets = line_count / cfg.associativity;
+    if (!isPowerOfTwo(sets))
         util::fatal("Cache: set count must be a power of two");
+    lineShift = static_cast<unsigned>(std::countr_zero(cfg.lineBytes));
+    setMask = sets - 1;
     lines.resize(line_count);
 }
 
-Addr
-Cache::lineAddr(Addr addr) const
+CacheStoreResult
+Cache::storeWriteBack(Line *line, Addr line_addr)
 {
-    return alignDown(addr, cfg.lineBytes);
-}
-
-std::size_t
-Cache::setIndex(Addr line_addr) const
-{
-    return static_cast<std::size_t>((line_addr / cfg.lineBytes) &
-                                    (numSets - 1));
-}
-
-Cache::Line *
-Cache::findLine(Addr line_addr)
-{
-    std::size_t set = setIndex(line_addr);
-    for (unsigned way = 0; way < cfg.associativity; ++way) {
-        Line &line = lines[set * cfg.associativity + way];
-        if (line.valid && line.tag == line_addr)
-            return &line;
-    }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(Addr line_addr) const
-{
-    return const_cast<Cache *>(this)->findLine(line_addr);
-}
-
-Cache::Line &
-Cache::victim(Addr line_addr)
-{
-    std::size_t set = setIndex(line_addr);
-    Line *lru = &lines[set * cfg.associativity];
-    for (unsigned way = 1; way < cfg.associativity; ++way) {
-        Line &line = lines[set * cfg.associativity + way];
-        if (!line.valid)
-            return line;
-        if (line.lastUse < lru->lastUse)
-            lru = &line;
-    }
-    return *lru;
-}
-
-CacheLoadResult
-Cache::load(Addr addr)
-{
-    ++useClock;
-    Addr la = lineAddr(addr);
-    if (Line *line = findLine(la)) {
-        ++counters.loadHits;
+    CacheStoreResult result;
+    if (line) {
+        ++counters.storeHits;
+        result.hit = true;
+        line->dirty = true;
         line->lastUse = useClock;
-        return {true, false, false, 0};
+        return result;
     }
-    ++counters.loadMisses;
-    CacheLoadResult result{false, true, false, 0};
-    Line &slot = victim(la);
+    ++counters.storeMisses;
+    if (!cfg.allocateOnWriteMiss) {
+        result.toMemory = true;
+        return result;
+    }
+    result.fill = true;
+    Line &slot = victim(line_addr);
     if (slot.valid && slot.dirty) {
         ++counters.writeBacks;
         result.writeBack = true;
         result.writeBackLine = slot.tag;
     }
-    slot.tag = la;
+    slot.tag = line_addr;
     slot.valid = true;
-    slot.dirty = false;
+    slot.dirty = true;
     slot.lastUse = useClock;
     return result;
 }
 
-CacheStoreResult
-Cache::store(Addr addr)
-{
-    ++useClock;
-    Addr la = lineAddr(addr);
-    Line *line = findLine(la);
-    CacheStoreResult result;
-    switch (cfg.writePolicy) {
-      case WritePolicy::WriteAround:
-        // The store bypasses the cache; a resident copy goes stale
-        // and is invalidated to keep loads coherent.
-        result.hit = line != nullptr;
-        result.toMemory = true;
-        if (line) {
-            ++counters.storeHits;
-            line->valid = false;
-            ++counters.invalidations;
-        } else {
-            ++counters.storeMisses;
-        }
-        return result;
-      case WritePolicy::WriteThrough:
-        result.toMemory = true;
-        if (line) {
-            ++counters.storeHits;
-            result.hit = true;
-            line->lastUse = useClock;
-        } else {
-            ++counters.storeMisses;
-        }
-        return result;
-      case WritePolicy::WriteBack:
-        if (line) {
-            ++counters.storeHits;
-            result.hit = true;
-            line->dirty = true;
-            line->lastUse = useClock;
-            return result;
-        }
-        ++counters.storeMisses;
-        if (!cfg.allocateOnWriteMiss) {
-            result.toMemory = true;
-            return result;
-        }
-        result.fill = true;
-        {
-            Line &slot = victim(la);
-            if (slot.valid && slot.dirty) {
-                ++counters.writeBacks;
-                result.writeBack = true;
-                result.writeBackLine = slot.tag;
-            }
-            slot.tag = la;
-            slot.valid = true;
-            slot.dirty = true;
-            slot.lastUse = useClock;
-        }
-        return result;
-    }
-    util::panic("Cache::store: bad policy");
-}
-
 void
-Cache::invalidateLine(Addr addr)
+Cache::badPolicy()
 {
-    if (Line *line = findLine(lineAddr(addr))) {
-        line->valid = false;
-        line->dirty = false;
-        ++counters.invalidations;
-    }
+    util::panic("Cache::store: bad policy");
 }
 
 void
@@ -171,12 +68,6 @@ Cache::invalidateAll()
         line.valid = false;
         line.dirty = false;
     }
-}
-
-bool
-Cache::contains(Addr addr) const
-{
-    return findLine(lineAddr(addr)) != nullptr;
 }
 
 } // namespace ct::sim

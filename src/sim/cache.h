@@ -71,29 +71,104 @@ struct CacheStoreResult
     Addr writeBackLine = 0;
 };
 
-/** LRU set-associative tag store. */
+/**
+ * LRU set-associative tag store. load() and store() run once per
+ * simulated word, so they and the tag lookup are inline; set
+ * selection is a shift and a mask.
+ */
 class Cache
 {
   public:
     explicit Cache(const CacheConfig &config);
 
     /** Access for a load of one word at @p addr. */
-    CacheLoadResult load(Addr addr);
+    CacheLoadResult
+    load(Addr addr)
+    {
+        ++useClock;
+        Addr la = lineAddr(addr);
+        if (Line *line = findLine(la)) {
+            ++counters.loadHits;
+            line->lastUse = useClock;
+            return {true, false, false, 0};
+        }
+        ++counters.loadMisses;
+        CacheLoadResult result{false, true, false, 0};
+        Line &slot = victim(la);
+        if (slot.valid && slot.dirty) {
+            ++counters.writeBacks;
+            result.writeBack = true;
+            result.writeBackLine = slot.tag;
+        }
+        slot.tag = la;
+        slot.valid = true;
+        slot.dirty = false;
+        slot.lastUse = useClock;
+        return result;
+    }
 
     /** Access for a store of one word at @p addr. */
-    CacheStoreResult store(Addr addr);
+    CacheStoreResult
+    store(Addr addr)
+    {
+        ++useClock;
+        Addr la = lineAddr(addr);
+        Line *line = findLine(la);
+        CacheStoreResult result;
+        switch (cfg.writePolicy) {
+          case WritePolicy::WriteAround:
+            // The store bypasses the cache; a resident copy goes
+            // stale and is invalidated to keep loads coherent.
+            result.hit = line != nullptr;
+            result.toMemory = true;
+            if (line) {
+                ++counters.storeHits;
+                line->valid = false;
+                ++counters.invalidations;
+            } else {
+                ++counters.storeMisses;
+            }
+            return result;
+          case WritePolicy::WriteThrough:
+            result.toMemory = true;
+            if (line) {
+                ++counters.storeHits;
+                result.hit = true;
+                line->lastUse = useClock;
+            } else {
+                ++counters.storeMisses;
+            }
+            return result;
+          case WritePolicy::WriteBack:
+            return storeWriteBack(line, la);
+        }
+        badPolicy();
+    }
 
     /** Invalidate the line containing @p addr (deposit-engine
      *  coherence on the T3D: incoming remote stores invalidate line
      *  by line). Dirty data is dropped: callers that need the write
      *  back must use load/store results instead. */
-    void invalidateLine(Addr addr);
+    void
+    invalidateLine(Addr addr)
+    {
+        if (Line *line = findLine(lineAddr(addr))) {
+            line->valid = false;
+            line->dirty = false;
+            ++counters.invalidations;
+        }
+    }
 
     /** Invalidate everything (synchronization-point flush). */
     void invalidateAll();
 
     /** True if the line containing @p addr is resident. */
-    bool contains(Addr addr) const;
+    bool
+    contains(Addr addr) const
+    {
+        return const_cast<Cache *>(this)->findLine(lineAddr(addr)) !=
+               nullptr;
+    }
 
     const CacheStats &stats() const { return counters; }
     const CacheConfig &config() const { return cfg; }
@@ -107,17 +182,53 @@ class Cache
         std::uint64_t lastUse = 0;
     };
 
-    Addr lineAddr(Addr addr) const;
-    std::size_t setIndex(Addr line_addr) const;
-    Line *findLine(Addr line_addr);
-    const Line *findLine(Addr line_addr) const;
+    Addr lineAddr(Addr addr) const { return alignDown(addr, cfg.lineBytes); }
+
+    /** First way of the set holding @p line_addr. */
+    Line *
+    setOf(Addr line_addr)
+    {
+        std::size_t set =
+            static_cast<std::size_t>((line_addr >> lineShift) & setMask);
+        return &lines[set * cfg.associativity];
+    }
+
+    Line *
+    findLine(Addr line_addr)
+    {
+        Line *set = setOf(line_addr);
+        for (unsigned way = 0; way < cfg.associativity; ++way)
+            if (set[way].valid && set[way].tag == line_addr)
+                return &set[way];
+        return nullptr;
+    }
+
     /** Pick the LRU victim in the set of @p line_addr. */
-    Line &victim(Addr line_addr);
+    Line &
+    victim(Addr line_addr)
+    {
+        Line *set = setOf(line_addr);
+        Line *lru = &set[0];
+        for (unsigned way = 1; way < cfg.associativity; ++way) {
+            if (!set[way].valid)
+                return set[way];
+            if (set[way].lastUse < lru->lastUse)
+                lru = &set[way];
+        }
+        return *lru;
+    }
+
+    /** Write-back store (the ablation policy; rare on the studied
+     *  machines). */
+    CacheStoreResult storeWriteBack(Line *line, Addr line_addr);
+
+    [[noreturn]] static void badPolicy();
 
     CacheConfig cfg;
     CacheStats counters;
-    std::size_t numSets;
-    std::vector<Line> lines; // numSets x associativity
+    unsigned lineShift = 0;
+    Addr setMask = 0;
+    std::vector<Line> lines; // sets x associativity
     std::uint64_t useClock = 0;
 };
 

@@ -1,6 +1,8 @@
 #include "chaos.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <sstream>
 
@@ -37,7 +39,7 @@ parseRateField(const std::string &token, double &out,
             *error = "bad rate '" + token + "'";
         return false;
     }
-    if (out < 0.0 || out > 1.0) {
+    if (!(out >= 0.0 && out <= 1.0)) { // NaN fails both
         if (error)
             *error = "rate '" + token + "' outside [0, 1]";
         return false;
@@ -49,15 +51,12 @@ bool
 parseCountField(const std::string &token, std::uint64_t &out,
                 std::string *error)
 {
-    // strtoull silently wraps negatives; reject anything that is not
-    // a plain digit string up front.
-    bool digits = !token.empty() &&
-                  std::all_of(token.begin(), token.end(), [](char c) {
-                      return c >= '0' && c <= '9';
-                  });
-    char *end = nullptr;
-    out = digits ? std::strtoull(token.c_str(), &end, 10) : 0;
-    if (!digits || *end != '\0') {
+    // strtoull silently wraps negatives and saturates overflows;
+    // accept only a plain digit string that fits.
+    bool digits = util::isAllDigits(token);
+    errno = 0;
+    out = digits ? std::strtoull(token.c_str(), nullptr, 10) : 0;
+    if (!digits || errno == ERANGE) {
         if (error)
             *error = "bad count '" + token + "'";
         return false;
@@ -182,6 +181,9 @@ parseItem(const std::string &item, ChaosSchedule &out,
             return fail(error, verb + " needs at least one victim "
                                       "in '" +
                                    item + "'");
+        if (count > INT_MAX)
+            return fail(error, "victim count '" + f[2] +
+                                   "' out of range in '" + item + "'");
         if (cascade) {
             ChaosSchedule::Cascade c;
             c.nodes = nodes;

@@ -1,5 +1,7 @@
 #include "dram.h"
 
+#include <bit>
+
 #include "util/logging.h"
 
 namespace ct::sim {
@@ -15,103 +17,42 @@ Dram::Dram(const DramConfig &config) : cfg(config)
         util::fatal("Dram: bank span smaller than a row");
     if (cfg.banks <= 0)
         util::fatal("Dram: need at least one bank");
-    openRow.assign(static_cast<std::size_t>(cfg.banks), 0);
-    rowOpen.assign(static_cast<std::size_t>(cfg.banks), false);
-    bankBusyUntil.assign(static_cast<std::size_t>(cfg.banks), 0);
+    bankTable.assign(static_cast<std::size_t>(cfg.banks), Bank{kNoRow});
+    spanShift = static_cast<unsigned>(std::countr_zero(cfg.bankSpanBytes));
+    beatShift = static_cast<unsigned>(std::countr_zero(cfg.beatBytes));
+    banksPowerOfTwo = isPowerOfTwo(static_cast<std::uint64_t>(cfg.banks));
+    bankMask = static_cast<Addr>(cfg.banks) - 1;
 }
 
-std::size_t
-Dram::bankOf(Addr addr) const
+void
+Dram::serveRows(Addr addr, Bytes bytes, bool is_write,
+                Cycles &activation, Cycles &data)
 {
-    return static_cast<std::size_t>(
-        (addr / cfg.bankSpanBytes) % static_cast<Addr>(cfg.banks));
-}
-
-Addr
-Dram::rowOf(Addr addr) const
-{
-    return alignDown(addr, cfg.rowBytes);
-}
-
-Cycles
-Dram::serveWithinRow(Addr addr, bool is_write)
-{
-    std::size_t bank = bankOf(addr);
-    Addr row = rowOf(addr);
-    Cycles cost;
-    if (rowOpen[bank] && openRow[bank] == row) {
-        ++counters.rowHits;
-        cost = is_write ? cfg.writeHitCycles : cfg.rowHitCycles;
-    } else {
-        ++counters.rowMisses;
-        cost = is_write ? cfg.writeMissCycles : cfg.rowMissCycles;
-        openRow[bank] = row;
-        rowOpen[bank] = true;
-    }
-    return cost;
-}
-
-DramAccess
-Dram::serve(Addr addr, Bytes bytes, bool is_write, Cycles now,
-            Cycles &lane_busy)
-{
-    if (bytes == 0)
-        util::fatal("Dram::access: zero-byte request");
-    if (is_write)
-        ++counters.writes;
-    else
-        ++counters.reads;
-
-    std::size_t bank = bankOf(addr);
-    DramAccess result;
-    result.rowHit = rowOpen[bank] && openRow[bank] == rowOf(addr);
-
-    // Row activation occupies the bank; the data beats serialize on
-    // the lane's shared data path. Activations in different banks
-    // overlap, which lets pipelined streams hide row misses.
-    Cycles start = std::max(now, bankBusyUntil[bank]);
-
-    Cycles activation = 0;
-    Cycles data = 0;
+    activation = 0;
+    data = 0;
     Addr cursor = addr;
     Bytes remaining = bytes;
     while (remaining > 0) {
-        Addr row_end = rowOf(cursor) + cfg.rowBytes;
-        Bytes chunk = std::min<Bytes>(remaining, row_end - cursor);
-        activation += serveWithinRow(cursor, is_write);
-        Bytes beats = (chunk + cfg.beatBytes - 1) / cfg.beatBytes;
-        data += beats * cfg.burstBeatCycles;
+        Addr row = alignDown(cursor, cfg.rowBytes);
+        Bytes chunk = std::min<Bytes>(remaining, row + cfg.rowBytes - cursor);
+        activation += activate(bankOf(cursor), row, is_write);
+        data += beatCycles(chunk);
         cursor += chunk;
         remaining -= chunk;
     }
-
-    Cycles complete = std::max(start + activation, lane_busy) + data;
-    bankBusyUntil[bank] = complete;
-    lane_busy = complete;
-
-    result.start = start;
-    result.complete = complete;
-    counters.busyCycles += activation + data;
-    return result;
 }
 
-DramAccess
-Dram::access(Addr addr, Bytes bytes, bool is_write, Cycles now)
+void
+Dram::zeroByteRequest()
 {
-    return serve(addr, bytes, is_write, now, demandBusyUntil);
-}
-
-DramAccess
-Dram::accessBackground(Addr addr, Bytes bytes, bool is_write,
-                       Cycles now)
-{
-    return serve(addr, bytes, is_write, now, backgroundBusyUntil);
+    util::fatal("Dram::access: zero-byte request");
 }
 
 void
 Dram::closeRows()
 {
-    std::fill(rowOpen.begin(), rowOpen.end(), false);
+    for (Bank &bank : bankTable)
+        bank.openRow = kNoRow;
 }
 
 } // namespace ct::sim

@@ -1,6 +1,8 @@
 #include "fault.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 
@@ -38,7 +40,7 @@ parseRate(const std::string &key, const std::string &value,
             *error = "bad value '" + value + "' for " + key;
         return false;
     }
-    if (out < 0.0 || out > 1.0) {
+    if (!(out >= 0.0 && out <= 1.0)) { // NaN fails both
         if (error)
             *error = key + "=" + value + " outside [0, 1]";
         return false;
@@ -50,15 +52,12 @@ bool
 parseCount(const std::string &key, const std::string &value,
            std::uint64_t &out, std::string *error)
 {
-    // strtoull silently wraps negatives ("-1" becomes a huge count);
-    // accept plain digit strings only.
-    bool digits = !value.empty() &&
-                  std::all_of(value.begin(), value.end(), [](char c) {
-                      return c >= '0' && c <= '9';
-                  });
-    char *end = nullptr;
-    out = digits ? std::strtoull(value.c_str(), &end, 10) : 0;
-    if (!digits || *end != '\0') {
+    // strtoull silently wraps negatives ("-1" becomes a huge count)
+    // and saturates overflows; accept plain digit strings that fit.
+    bool digits = util::isAllDigits(value);
+    errno = 0;
+    out = digits ? std::strtoull(value.c_str(), nullptr, 10) : 0;
+    if (!digits || errno == ERANGE) {
         if (error)
             *error = "bad value '" + value + "' for " + key;
         return false;
@@ -75,6 +74,12 @@ parseOutage(const std::string &key, const std::string &value,
     std::uint64_t id = 0;
     if (!parseCount(key, value.substr(0, at), id, error))
         return false;
+    if (id > static_cast<std::uint64_t>(INT32_MAX)) {
+        if (error)
+            *error = "id '" + value.substr(0, at) + "' out of range for " +
+                     key;
+        return false;
+    }
     out.id = static_cast<std::int32_t>(id);
     std::uint64_t cycle = 0;
     if (at != std::string::npos) {

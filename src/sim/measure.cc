@@ -99,9 +99,10 @@ void
 fillChunk(NodeRam &ram, const PatternWalk &walk, std::uint64_t first,
           std::uint64_t count)
 {
-    WalkCursor cur(walk, first);
-    for (std::uint64_t i = 0; i < count; ++i, cur.advance())
-        ram.writeWord(cur.elementAddr(ram), 0x1000 + first + i);
+    withCursor(walk, first, [&](auto cur) {
+        for (std::uint64_t i = 0; i < count; ++i, cur.advance())
+            ram.writeWord(cur.elementAddr(ram), 0x1000 + first + i);
+    });
 }
 
 void
@@ -214,12 +215,13 @@ measureReceiveDeposit(const MachineConfig &cfg, core::AccessPattern y,
         pkt.dst = 0;
         pkt.framing =
             contiguous ? Framing::DataOnly : Framing::AddrDataPair;
-        WalkCursor cur(dst, first);
-        for (std::uint64_t i = 0; i < count; ++i, cur.advance()) {
+        for (std::uint64_t i = 0; i < count; ++i)
             pkt.words.push_back(0x3000 + first + i);
-            if (!contiguous)
-                pkt.addrs.push_back(cur.elementAddr(node.ram()));
-        }
+        if (!contiguous)
+            withCursor(dst, first, [&](auto cur) {
+                for (std::uint64_t i = 0; i < count; ++i, cur.advance())
+                    pkt.addrs.push_back(cur.elementAddr(node.ram()));
+            });
         if (contiguous)
             pkt.destBase = dst.base + first * 8;
         if (!engine.accepts(pkt))

@@ -16,71 +16,6 @@ MemorySystem::MemorySystem(const MemoryConfig &config)
 }
 
 Cycles
-MemorySystem::load(Addr addr, Cycles now, BusMaster master,
-                   bool streaming)
-{
-    // Pipelined loads bypass the cache entirely (i860 pfld).
-    if (cfg.loadPipeline.enabled && streaming) {
-        Cycles bus_extra =
-            busModel.transact(master, util::wordBytes, now);
-        Cycles completes =
-            dramModel
-                .access(addr, util::wordBytes, false, now + bus_extra)
-                .complete;
-        return bus_extra + pipeline.load(completes, now + bus_extra);
-    }
-
-    auto result = cacheModel.load(addr);
-    if (result.hit)
-        return cfg.cacheHitCycles;
-
-    Addr line = alignDown(addr, cfg.cache.lineBytes);
-    Cycles fill = rdal.fill(line, now);
-    Cycles bus_extra =
-        busModel.transact(master, cfg.cache.lineBytes, now + fill);
-    Cycles total = cfg.missOverheadCycles + fill + bus_extra;
-    if (result.writeBack) {
-        Cycles wb = dramModel
-                        .access(result.writeBackLine,
-                                cfg.cache.lineBytes, true, now + total)
-                        .complete -
-                    (now + total);
-        total += wb;
-    }
-    return total;
-}
-
-Cycles
-MemorySystem::store(Addr addr, Cycles now, BusMaster master)
-{
-    auto result = cacheModel.store(addr);
-    Cycles total = cfg.storeIssueCycles;
-    if (result.toMemory) {
-        total += wbq.store(addr, util::wordBytes, now);
-        total += busModel.transact(master, util::wordBytes, now);
-    }
-    if (result.fill) {
-        // Write-allocate: fetch the line before dirtying it.
-        Cycles fill =
-            dramModel
-                .access(alignDown(addr, cfg.cache.lineBytes),
-                        cfg.cache.lineBytes, false, now + total)
-                .complete -
-            (now + total);
-        total += fill;
-    }
-    if (result.writeBack) {
-        Cycles wb = dramModel
-                        .access(result.writeBackLine,
-                                cfg.cache.lineBytes, true, now + total)
-                        .complete -
-                    (now + total);
-        total += wb;
-    }
-    return total;
-}
-
-Cycles
 MemorySystem::engineRead(Addr addr, Bytes bytes, Cycles now,
                          BusMaster master)
 {

@@ -42,6 +42,10 @@ struct MemoryConfig
  * One node's memory system. All methods take the caller's current
  * time so that the background units (write queue, prefetcher) can be
  * modeled by occupancy without a global event loop.
+ *
+ * load() and store() are inline, as are the per-word steps of the
+ * components they drive, so each compiles to straight-line code with
+ * no call on a cache hit, a coalesced store or a row hit.
  */
 class MemorySystem
 {
@@ -57,13 +61,57 @@ class MemorySystem
      *        path (i860 pfld); auxiliary loads such as index-array
      *        reads set this false and go through the cache.
      */
-    Cycles load(Addr addr, Cycles now,
-                BusMaster master = BusMaster::Processor,
-                bool streaming = true);
+    Cycles
+    load(Addr addr, Cycles now, BusMaster master = BusMaster::Processor,
+         bool streaming = true)
+    {
+        // Pipelined loads bypass the cache entirely (i860 pfld).
+        if (cfg.loadPipeline.enabled && streaming) {
+            Cycles bus_extra =
+                busModel.transact(master, util::wordBytes, now);
+            Cycles completes = dramModel
+                                   .access(addr, util::wordBytes, false,
+                                           now + bus_extra)
+                                   .complete;
+            return bus_extra + pipeline.load(completes, now + bus_extra);
+        }
+
+        auto result = cacheModel.load(addr);
+        if (result.hit)
+            return cfg.cacheHitCycles;
+
+        Cycles fill = rdal.fill(alignDown(addr, cfg.cache.lineBytes), now);
+        Cycles bus_extra =
+            busModel.transact(master, cfg.cache.lineBytes, now + fill);
+        Cycles total = cfg.missOverheadCycles + fill + bus_extra;
+        if (result.writeBack)
+            total += writeBackLine(result.writeBackLine, now + total);
+        return total;
+    }
 
     /** Processor word store; returns visible cycles. */
-    Cycles store(Addr addr, Cycles now,
-                 BusMaster master = BusMaster::Processor);
+    Cycles
+    store(Addr addr, Cycles now, BusMaster master = BusMaster::Processor)
+    {
+        auto result = cacheModel.store(addr);
+        Cycles total = cfg.storeIssueCycles;
+        if (result.toMemory) {
+            total += wbq.store(addr, util::wordBytes, now);
+            total += busModel.transact(master, util::wordBytes, now);
+        }
+        if (result.fill) {
+            // Write-allocate: fetch the line before dirtying it.
+            Cycles at = now + total;
+            total += dramModel
+                         .access(alignDown(addr, cfg.cache.lineBytes),
+                                 cfg.cache.lineBytes, false, at)
+                         .complete -
+                     at;
+        }
+        if (result.writeBack)
+            total += writeBackLine(result.writeBackLine, now + total);
+        return total;
+    }
 
     /**
      * Read through the engine port (cache bypassed, pattern-neutral).
@@ -93,6 +141,15 @@ class MemorySystem
     const Bus &bus() const { return busModel; }
 
   private:
+    /** Cycles to write an evicted dirty line back, starting at @p at. */
+    Cycles
+    writeBackLine(Addr line, Cycles at)
+    {
+        return dramModel.access(line, cfg.cache.lineBytes, true, at)
+                   .complete -
+               at;
+    }
+
     MemoryConfig cfg;
     Dram dramModel;
     Cache cacheModel;

@@ -84,8 +84,7 @@ NodeRam::isPinned(Addr page_index) const
 const std::uint8_t *
 NodeRam::peekPage(Addr page_index) const
 {
-    TransEntry &entry =
-        translations[page_index & (kTransEntries - 1)];
+    TransEntry &entry = translationSlot(page_index);
     if (entry.pageIndexPlusOne == page_index + 1)
         return entry.data;
     auto it = pages.find(page_index);
@@ -99,8 +98,7 @@ NodeRam::peekPage(Addr page_index) const
 std::uint8_t *
 NodeRam::touchPage(Addr page_index)
 {
-    TransEntry &entry =
-        translations[page_index & (kTransEntries - 1)];
+    TransEntry &entry = translationSlot(page_index);
     if (entry.pageIndexPlusOne == page_index + 1)
         return entry.data;
     auto [it, inserted] = pages.try_emplace(page_index);
@@ -145,8 +143,7 @@ NodeRam::evictToLimit()
 void
 NodeRam::dropTranslation(Addr page_index)
 {
-    TransEntry &entry =
-        translations[page_index & (kTransEntries - 1)];
+    TransEntry &entry = translationSlot(page_index);
     if (entry.pageIndexPlusOne == page_index + 1)
         entry = TransEntry{};
 }
@@ -188,6 +185,16 @@ NodeRam::writeBytes(Addr addr, const void *in, Bytes bytes)
 std::uint64_t
 NodeRam::readWordSlow(Addr addr) const
 {
+    if (addr % kPageBytes <= kPageBytes - 8) {
+        // Translation miss inside one page: peekPage() refills the
+        // cache when the page is materialized.
+        const std::uint8_t *page = peekPage(addr / kPageBytes);
+        if (!page)
+            return 0;
+        std::uint64_t value;
+        std::memcpy(&value, page + addr % kPageBytes, 8);
+        return value;
+    }
     std::uint64_t value;
     readBytes(addr, &value, 8);
     return value;
@@ -196,6 +203,12 @@ NodeRam::readWordSlow(Addr addr) const
 void
 NodeRam::writeWordSlow(Addr addr, std::uint64_t value)
 {
+    if (addr % kPageBytes <= kPageBytes - 8) {
+        // touchPage() materializes the page and refills the cache.
+        std::memcpy(touchPage(addr / kPageBytes) + addr % kPageBytes,
+                    &value, 8);
+        return;
+    }
     writeBytes(addr, &value, 8);
 }
 

@@ -113,12 +113,22 @@ class NodeRam
     [[noreturn]] void outOfRange(Addr addr, Bytes bytes) const;
     bool isPinned(Addr page_index) const;
 
+    /** Translation-cache slot of @p page_index. The index is folded
+     *  with its upper bits so that arrays a power-of-two number of
+     *  pages apart (a kernel's source and destination, say) do not
+     *  evict each other on every word. */
+    TransEntry &
+    translationSlot(Addr page_index) const
+    {
+        return translations[(page_index ^ (page_index >> 8)) &
+                            (kTransEntries - 1)];
+    }
+
     /** Translation-cache probe; nullptr on miss. */
     std::uint8_t *
     cachedPage(Addr page_index) const
     {
-        const TransEntry &entry =
-            translations[page_index & (kTransEntries - 1)];
+        const TransEntry &entry = translationSlot(page_index);
         return entry.pageIndexPlusOne == page_index + 1 ? entry.data
                                                         : nullptr;
     }

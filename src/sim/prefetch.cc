@@ -74,39 +74,18 @@ LoadPipeline::LoadPipeline(const LoadPipelineConfig &config)
 {
     if (cfg.enabled && cfg.depth == 0)
         util::fatal("LoadPipeline: zero depth");
-}
-
-Cycles
-LoadPipeline::load(Cycles completes_at, Cycles now)
-{
-    completes_at += cfg.pipeLatency;
-    if (!cfg.enabled) {
-        return completes_at > now ? completes_at - now : 0;
-    }
-
-    Cycles stall = 0;
-    while (!outstanding.empty() && outstanding.front() <= now)
-        outstanding.pop_front();
-    if (outstanding.size() >= cfg.depth) {
-        stall = outstanding.front() - now;
-        outstanding.pop_front();
-    }
-    outstanding.push_back(completes_at);
-    return stall;
+    if (cfg.enabled)
+        ring.resize(cfg.depth);
 }
 
 Cycles
 LoadPipeline::drainTime(Cycles now) const
 {
-    if (outstanding.empty() || outstanding.back() <= now)
+    if (count == 0)
         return 0;
-    return outstanding.back() - now;
-}
-
-void
-LoadPipeline::reset()
-{
-    outstanding.clear();
+    std::size_t tail = head + count - 1;
+    Cycles last = ring[tail >= ring.size() ? tail - ring.size() : tail];
+    return last > now ? last - now : 0;
 }
 
 } // namespace ct::sim

@@ -15,7 +15,7 @@
 #ifndef CT_SIM_PREFETCH_H
 #define CT_SIM_PREFETCH_H
 
-#include <deque>
+#include <vector>
 
 #include "sim/dram.h"
 
@@ -85,6 +85,9 @@ struct LoadPipelineConfig
  * Pipelined load issue. Memory devices serialize the loads; the
  * processor only stalls when `depth` loads are already outstanding.
  * Without the unit, every load stalls until its completion time.
+ *
+ * The outstanding loads sit in a fixed ring of `depth` slots, oldest
+ * first; load() is inline because pipelined loads run once per word.
  */
 class LoadPipeline
 {
@@ -95,16 +98,51 @@ class LoadPipeline
      * Track a load whose memory completion time is @p completes_at.
      * @return processor-visible stall cycles.
      */
-    Cycles load(Cycles completes_at, Cycles now);
+    Cycles
+    load(Cycles completes_at, Cycles now)
+    {
+        completes_at += cfg.pipeLatency;
+        if (!cfg.enabled)
+            return completes_at > now ? completes_at - now : 0;
+
+        Cycles stall = 0;
+        while (count > 0 && ring[head] <= now)
+            popFront();
+        if (count == ring.size()) {
+            stall = ring[head] - now;
+            popFront();
+        }
+        std::size_t tail = head + count;
+        ring[tail >= ring.size() ? tail - ring.size() : tail] =
+            completes_at;
+        ++count;
+        return stall;
+    }
 
     /** Wait for all outstanding loads (fence). */
     Cycles drainTime(Cycles now) const;
 
-    void reset();
+    void
+    reset()
+    {
+        head = 0;
+        count = 0;
+    }
 
   private:
+    void
+    popFront()
+    {
+        if (++head == ring.size())
+            head = 0;
+        --count;
+    }
+
     LoadPipelineConfig cfg;
-    std::deque<Cycles> outstanding; // completion times
+    /** Completion times of the outstanding loads. */
+    std::vector<Cycles> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
 };
 
 } // namespace ct::sim

@@ -92,12 +92,33 @@ class Processor
     const ProcessorConfig &config() const { return cfg; }
 
   private:
+    // Per-element steps of the kernels, instantiated once per cursor
+    // kind (see withCursor) in processor.cc.
+
+    /** Cycles of the index-array load for the element under @p cur;
+     *  0 for non-indexed cursors. */
+    template <typename Cursor>
+    Cycles indexLoad(const Cursor &cur, Cycles now);
+
     /** Visible cycles to read the element under @p cur (plus its
      *  index load, if the walk is indexed). */
-    Cycles loadElement(const PatternWalk &walk, const WalkCursor &cur,
-                       Cycles now, std::uint64_t &value);
+    template <typename Cursor>
+    Cycles loadElement(const Cursor &cur, Cycles now,
+                       std::uint64_t &value);
+
+    /** Visible cycles to store @p value to the element under @p cur
+     *  (plus its index load, if the walk is indexed). */
+    template <typename Cursor>
+    Cycles storeElement(const Cursor &cur, Cycles now,
+                        std::uint64_t value);
+
+    /** Whole loop-overhead cycles owed after one more element. */
+    Cycles loopCycles();
 
     ProcessorConfig cfg;
+    /** Whole cycles per element when loopCyclesPerElem is integral
+     *  (the carry then stays 0); -1 otherwise. */
+    std::int64_t wholeLoopCycles = -1;
     MemorySystem &mem;
     NodeRam &nodeRam;
     BusMaster master;

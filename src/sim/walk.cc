@@ -32,69 +32,10 @@ PatternWalk::indexAddr(std::uint64_t i) const
     return indexBase + i * util::wordBytes;
 }
 
-WalkCursor::WalkCursor(const PatternWalk &walk, std::uint64_t first)
-    : walkRef(&walk), current(first)
-{
-    using core::PatternKind;
-    switch (walk.pattern.kind()) {
-      case PatternKind::Contiguous:
-        addr = walk.base + first * util::wordBytes;
-        break;
-      case PatternKind::Strided: {
-        // One div/mod to seed the cursor; advance() is add-only.
-        std::uint64_t b = walk.pattern.block();
-        addr = walk.base +
-               (first / b) * walk.pattern.stride() * util::wordBytes +
-               (first % b) * util::wordBytes;
-        blockLeft = b - first % b;
-        break;
-      }
-      case PatternKind::Indexed:
-        break;
-      case PatternKind::Fixed:
-        util::fatal("WalkCursor: fixed pattern has no elements");
-    }
-}
-
-Addr
-WalkCursor::elementAddr(const NodeRam &ram) const
-{
-    if (walkRef->pattern.isIndexed())
-        return walkRef->base +
-               ram.readWord(walkRef->indexAddr(current)) *
-                   util::wordBytes;
-    return addr;
-}
-
 void
-WalkCursor::advance()
+fixedWalkHasNoElements()
 {
-    using core::PatternKind;
-    ++current;
-    switch (walkRef->pattern.kind()) {
-      case PatternKind::Contiguous:
-        addr += util::wordBytes;
-        break;
-      case PatternKind::Strided:
-        if (--blockLeft == 0) {
-            // Jump from the last element of a block to the first of
-            // the next: stride words forward from the block start,
-            // i.e. back over the block-1 words already walked. Two
-            // 64-bit steps so an overlapping stride < block cannot
-            // underflow in 32 bits.
-            addr -= static_cast<Addr>(walkRef->pattern.block() - 1) *
-                    util::wordBytes;
-            addr += static_cast<Addr>(walkRef->pattern.stride()) *
-                    util::wordBytes;
-            blockLeft = walkRef->pattern.block();
-        } else {
-            addr += util::wordBytes;
-        }
-        break;
-      case PatternKind::Indexed:
-      case PatternKind::Fixed:
-        break;
-    }
+    util::fatal("PatternWalk: fixed pattern has no elements");
 }
 
 PatternWalk

@@ -29,9 +29,6 @@ struct PatternWalk
 
     /** Address of the i-th index entry (for timing the index load). */
     Addr indexAddr(std::uint64_t i) const;
-
-    /** True when each element requires an index-array load. */
-    bool needsIndexLoad() const { return pattern.isIndexed(); }
 };
 
 /** Convenience constructors. */
@@ -41,41 +38,129 @@ PatternWalk stridedWalk(Addr base, std::uint32_t stride_words,
 PatternWalk indexedWalk(Addr base, Addr index_base);
 
 /**
- * Streaming address generator over a walk: O(1) state, no divisions
- * in steady state, and no materialized address arrays. Produces the
- * exact sequence `walk.elementAddr(ram, first)`,
- * `walk.elementAddr(ram, first + 1)`, ... so kernels iterating a walk
- * element-by-element can stream instead of recomputing (or caching)
- * per-element addresses.
+ * Streaming address generators over a walk, one type per pattern
+ * kind: O(1) state, add-only steps and no materialized address
+ * arrays. Cursor `c` built at element `first` produces the exact
+ * sequence `walk.elementAddr(ram, first)`,
+ * `walk.elementAddr(ram, first + 1)`, ... through `c.elementAddr(ram)`
+ * and `c.advance()`. Kernels reach them through withCursor(), which
+ * switches on the pattern once per call, so the per-element loop is
+ * compiled for one kind with no pattern test inside it.
  *
- * For indexed walks each elementAddr() call reads the index array,
- * mirroring the one architectural index load per element.
+ * `kIndexed` marks the indexed cursor: each of its elementAddr()
+ * calls reads the index array, mirroring the one architectural index
+ * load per element, whose address indexAddr() gives.
  */
-class WalkCursor
+class ContiguousCursor
 {
   public:
-    WalkCursor(const PatternWalk &walk, std::uint64_t first);
+    static constexpr bool kIndexed = false;
 
-    /** Word address of the current element. */
-    Addr elementAddr(const NodeRam &ram) const;
+    ContiguousCursor(const PatternWalk &walk, std::uint64_t first)
+        : addr(walk.base + first * util::wordBytes)
+    {
+    }
 
-    /** Address of the current element's index entry. */
-    Addr indexAddr() const { return walkRef->indexAddr(current); }
-
-    /** Element number the cursor stands on. */
-    std::uint64_t index() const { return current; }
-
-    /** Step to the next element. */
-    void advance();
+    Addr elementAddr(const NodeRam &) const { return addr; }
+    void advance() { addr += util::wordBytes; }
 
   private:
-    const PatternWalk *walkRef;
-    std::uint64_t current;
-    /** Precomputed address (contiguous / strided walks). */
-    Addr addr = 0;
-    /** Elements left in the current strided block (incl. current). */
-    std::uint64_t blockLeft = 0;
+    Addr addr;
 };
+
+class StridedCursor
+{
+  public:
+    static constexpr bool kIndexed = false;
+
+    StridedCursor(const PatternWalk &walk, std::uint64_t first)
+        : block(walk.pattern.block()),
+          // From the last element of a block to the first of the
+          // next: stride words forward from the block start, i.e.
+          // back over the block-1 words already walked. Wrapping
+          // 64-bit arithmetic, so an overlapping stride < block
+          // cannot underflow.
+          blockJump(static_cast<Addr>(walk.pattern.stride()) *
+                        util::wordBytes -
+                    static_cast<Addr>(block - 1) * util::wordBytes)
+    {
+        // One div/mod to seed the cursor; advance() is add-only.
+        addr = walk.base +
+               (first / block) * walk.pattern.stride() * util::wordBytes +
+               (first % block) * util::wordBytes;
+        blockLeft = block - first % block;
+    }
+
+    Addr elementAddr(const NodeRam &) const { return addr; }
+
+    void
+    advance()
+    {
+        if (--blockLeft == 0) {
+            addr += blockJump;
+            blockLeft = block;
+        } else {
+            addr += util::wordBytes;
+        }
+    }
+
+  private:
+    std::uint64_t block;
+    Addr blockJump;
+    Addr addr;
+    /** Elements left in the current block (incl. the current one). */
+    std::uint64_t blockLeft;
+};
+
+class IndexedCursor
+{
+  public:
+    static constexpr bool kIndexed = true;
+
+    IndexedCursor(const PatternWalk &walk, std::uint64_t first)
+        : base(walk.base), index(walk.indexAddr(first))
+    {
+    }
+
+    /** Address of the current element's index entry. */
+    Addr indexAddr() const { return index; }
+
+    Addr
+    elementAddr(const NodeRam &ram) const
+    {
+        return base + ram.readWord(index) * util::wordBytes;
+    }
+
+    void advance() { index += util::wordBytes; }
+
+  private:
+    Addr base;
+    Addr index;
+};
+
+[[noreturn]] void fixedWalkHasNoElements();
+
+/**
+ * Call @p fn with the cursor of @p walk's kind, standing on element
+ * @p first, and return its result.
+ */
+template <typename Fn>
+decltype(auto)
+withCursor(const PatternWalk &walk, std::uint64_t first, Fn &&fn)
+{
+    using core::PatternKind;
+    switch (walk.pattern.kind()) {
+      case PatternKind::Contiguous:
+        return fn(ContiguousCursor(walk, first));
+      case PatternKind::Strided:
+        return fn(StridedCursor(walk, first));
+      case PatternKind::Indexed:
+        return fn(IndexedCursor(walk, first));
+      case PatternKind::Fixed:
+        break;
+    }
+    fixedWalkHasNoElements();
+}
 
 } // namespace ct::sim
 

@@ -10,7 +10,8 @@
 #ifndef CT_SIM_WRITE_BUFFER_H
 #define CT_SIM_WRITE_BUFFER_H
 
-#include <deque>
+#include <algorithm>
+#include <vector>
 
 #include "sim/dram.h"
 
@@ -46,6 +47,12 @@ struct WriteBufferStats
  * Occupancy-based write queue. Entries carry a completion time
  * assigned on enqueue (drains are serialized on the DRAM write port);
  * store() returns the stall the issuing processor observes.
+ *
+ * The queue is a fixed ring of `entries` slots. Issued entries always
+ * form a prefix of the queue and unissued ones the suffix (a batch
+ * issues every unissued entry), so one counter tracks the split.
+ * store() is inline: a coalescing or non-full store touches only the
+ * ring's ends.
  */
 class WriteBuffer
 {
@@ -56,7 +63,39 @@ class WriteBuffer
      * Issue a word store at time @p now.
      * @return processor-visible stall cycles (0 in the common case).
      */
-    Cycles store(Addr addr, Bytes bytes, Cycles now);
+    Cycles
+    store(Addr addr, Bytes bytes, Cycles now)
+    {
+        ++counters.stores;
+        retire(now);
+
+        if (cfg.entries == 0)
+            return storeUnbuffered(addr, bytes, now);
+
+        // Coalesce into the youngest entry when it targets the same
+        // line and it has not been sent to memory yet: the merged
+        // word rides along in the same burst.
+        Addr line = alignDown(addr, cfg.lineBytes);
+        if (cfg.coalesce && unissued > 0 && back().line == line) {
+            ++counters.coalesced;
+            back().bytes += bytes;
+            return 0;
+        }
+
+        Cycles stall = 0;
+        if (count == cfg.entries) {
+            stall = stallForSlot(now);
+            now += stall;
+        }
+
+        std::size_t tail = head + count;
+        ring[tail >= ring.size() ? tail - ring.size() : tail] = {
+            line, addr, bytes, 0};
+        ++count;
+        if (++unissued >= std::max(1u, cfg.drainBatch))
+            issueBatch(now);
+        return stall;
+    }
 
     /** Cycles from @p now until the queue fully drains (fence);
      *  forces any buffered entries out to memory. */
@@ -73,18 +112,53 @@ class WriteBuffer
         Addr line;
         Addr addr;
         Bytes bytes;
-        bool issued;
+        /** DRAM completion time; meaningful once issued. */
         Cycles completesAt;
     };
 
-    void retire(Cycles now);
+    Entry &at(std::size_t i)
+    {
+        std::size_t slot = head + i;
+        return ring[slot >= ring.size() ? slot - ring.size() : slot];
+    }
+    const Entry &at(std::size_t i) const
+    {
+        return const_cast<WriteBuffer *>(this)->at(i);
+    }
+    Entry &back() { return at(count - 1); }
+
+    void
+    popFront()
+    {
+        if (++head == ring.size())
+            head = 0;
+        --count;
+    }
+
+    /** Drop issued entries whose drain completed by @p now. */
+    void
+    retire(Cycles now)
+    {
+        while (count > unissued && ring[head].completesAt <= now)
+            popFront();
+    }
+
+    /** No queue: the store stalls for the full DRAM write. */
+    Cycles storeUnbuffered(Addr addr, Bytes bytes, Cycles now);
+    /** Full queue: issue everything, wait for the oldest entry to
+     *  drain and free its slot; returns the stall. */
+    Cycles stallForSlot(Cycles now);
     /** Send all unissued entries to DRAM back to back. */
     void issueBatch(Cycles now);
 
     WriteBufferConfig cfg;
     Dram &dram;
     WriteBufferStats counters;
-    std::deque<Entry> queue;
+    std::vector<Entry> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
+    /** Entries at the back of the queue not yet sent to DRAM. */
+    std::size_t unissued = 0;
 };
 
 } // namespace ct::sim

@@ -1,5 +1,7 @@
 #include "sweep/grid.h"
 
+#include <cerrno>
+#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
@@ -9,6 +11,7 @@
 #include "rt/workload.h"
 #include "sim/machine.h"
 #include "sim/measure.h"
+#include "util/string_util.h"
 #include "util/table.h"
 
 namespace ct::sweep {
@@ -388,10 +391,14 @@ Grid::parse(const std::string &spec, std::string *error)
         } else if (index == kWords) {
             std::vector<std::uint64_t> counts;
             for (const std::string &w : splitList(value, ',')) {
-                char *end = nullptr;
+                // Plain digits only: strtoull would wrap "-1" and
+                // saturate an overflow instead of failing.
+                errno = 0;
                 unsigned long long v =
-                    std::strtoull(w.c_str(), &end, 10);
-                if (w.empty() || *end != '\0' || v == 0)
+                    util::isAllDigits(w)
+                        ? std::strtoull(w.c_str(), nullptr, 10)
+                        : 0;
+                if (v == 0 || errno == ERANGE)
                     return fail("bad word count '" + w + "'");
                 counts.push_back(v);
             }
@@ -399,10 +406,12 @@ Grid::parse(const std::string &spec, std::string *error)
         } else if (index == kNodes) {
             std::vector<int> counts;
             for (const std::string &n : splitList(value, ',')) {
-                char *end = nullptr;
-                long v = std::strtol(n.c_str(), &end, 10);
-                if (n.empty() || *end != '\0' ||
-                    !sim::validScaleNodes(static_cast<int>(v)))
+                // At most five digits, so the int cannot wrap into a
+                // different valid size.
+                long v = util::isAllDigits(n) && n.size() <= 5
+                             ? std::strtol(n.c_str(), nullptr, 10)
+                             : 0;
+                if (!sim::validScaleNodes(static_cast<int>(v)))
                     return fail("bad node count '" + n +
                                 "' (powers of two in [8, 8192])");
                 counts.push_back(static_cast<int>(v));

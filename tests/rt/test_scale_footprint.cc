@@ -28,6 +28,17 @@ namespace {
 
 std::atomic<std::uint64_t> g_allocated{0};
 
+/**
+ * The one place replaced deletes give memory back. Kept out of line:
+ * once inlined into a caller that also inlined operator new, a bare
+ * free() looks to the compiler like a new/free mismatch.
+ */
+[[gnu::noinline]] void
+releaseBlock(void *p) noexcept
+{
+    std::free(p);
+}
+
 } // namespace
 
 void *
@@ -64,49 +75,49 @@ operator new[](std::size_t size, std::align_val_t align)
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    releaseBlock(p);
 }
 
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    releaseBlock(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    releaseBlock(p);
 }
 
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    releaseBlock(p);
 }
 
 void
 operator delete(void *p, std::align_val_t) noexcept
 {
-    std::free(p);
+    releaseBlock(p);
 }
 
 void
 operator delete[](void *p, std::align_val_t) noexcept
 {
-    std::free(p);
+    releaseBlock(p);
 }
 
 void
 operator delete(void *p, std::size_t, std::align_val_t) noexcept
 {
-    std::free(p);
+    releaseBlock(p);
 }
 
 void
 operator delete[](void *p, std::size_t, std::align_val_t) noexcept
 {
-    std::free(p);
+    releaseBlock(p);
 }
 
 namespace {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "sim/machine.h"
 #include "sim/processor.h"
 
@@ -155,6 +158,44 @@ TEST(Processor, FenceCoversWriteQueue)
     Cycles wait = f.node.processor().fence(elapsed);
     // Fencing twice is idempotent.
     EXPECT_EQ(f.node.processor().fence(elapsed + wait), 0u);
+}
+
+// The whole-cycle loop overhead carries its fraction across chunked
+// kernel calls. Expected totals were taken from the floor-based carry
+// that the integral shortcut and the truncating carry replaced.
+Cycles
+chunkedGatherCycles(double loop_cycles_per_elem)
+{
+    NodeConfig cfg = t3dNodeConfig();
+    cfg.processor.loopCyclesPerElem = loop_cycles_per_elem;
+    Node node(cfg);
+    Addr src = node.ram().alloc(4096);
+    std::vector<std::uint64_t> words;
+    Cycles now = 0;
+    for (std::uint64_t first = 0; first < 500; first += 7)
+        now += node.processor().gatherToPort(contiguousWalk(src), first,
+                                             7, now, words);
+    return now;
+}
+
+TEST(Processor, LoopOverheadCarriesAcrossChunks)
+{
+    EXPECT_EQ(chunkedGatherCycles(0.0), 3946u);
+    EXPECT_EQ(chunkedGatherCycles(1.37), 4636u);
+    EXPECT_EQ(chunkedGatherCycles(2.0), 4954u);
+    EXPECT_EQ(chunkedGatherCycles(0.1), 3996u);
+}
+
+TEST(ProcessorDeath, RejectsNegativeOrInfiniteLoopCost)
+{
+    for (double bad : {-1.0, std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+        ProcessorConfig cfg;
+        cfg.loopCyclesPerElem = bad;
+        Node node(t3dNodeConfig());
+        EXPECT_EXIT(Processor(cfg, node.memory(), node.ram()),
+                    testing::ExitedWithCode(1), "loopCyclesPerElem");
+    }
 }
 
 } // namespace

@@ -2,16 +2,24 @@
  * @file
  * Reference-model fuzz tests: the optimized tag-store cache and the
  * occupancy-based DRAM are checked against trivially-correct
- * reference implementations on random access streams.
+ * reference implementations on random access streams, and the
+ * ring-buffer write queue, load pipeline and flat-state DRAM against
+ * the straightforward deque- and per-bank-vector models they
+ * replaced, which must agree on every returned cycle and counter.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <list>
 #include <map>
+#include <vector>
 
 #include "sim/cache.h"
 #include "sim/dram.h"
+#include "sim/prefetch.h"
+#include "sim/write_buffer.h"
 #include "util/rng.h"
 
 namespace {
@@ -164,7 +172,416 @@ TEST_P(DramFuzz, StatsBalance)
               reads + writes);
 }
 
+/**
+ * The DRAM model written the plain way: per-bank vectors, a division
+ * and modulo for bank selection, and every request walked row by row.
+ */
+class ReferenceDram
+{
+  public:
+    explicit ReferenceDram(const DramConfig &config)
+        : cfg(config), openRow(static_cast<std::size_t>(cfg.banks), 0),
+          rowOpen(static_cast<std::size_t>(cfg.banks), false),
+          bankBusyUntil(static_cast<std::size_t>(cfg.banks), 0)
+    {
+    }
+
+    DramAccess
+    access(Addr addr, Bytes bytes, bool is_write, Cycles now)
+    {
+        return serve(addr, bytes, is_write, now, demandBusyUntil);
+    }
+
+    DramAccess
+    accessBackground(Addr addr, Bytes bytes, bool is_write, Cycles now)
+    {
+        return serve(addr, bytes, is_write, now, backgroundBusyUntil);
+    }
+
+    void closeRows() { std::fill(rowOpen.begin(), rowOpen.end(), false); }
+
+    const DramStats &stats() const { return counters; }
+
+  private:
+    std::size_t
+    bankOf(Addr addr) const
+    {
+        return static_cast<std::size_t>(
+            (addr / cfg.bankSpanBytes) % static_cast<Addr>(cfg.banks));
+    }
+
+    Addr rowOf(Addr addr) const { return alignDown(addr, cfg.rowBytes); }
+
+    Cycles
+    serveWithinRow(Addr addr, bool is_write)
+    {
+        std::size_t bank = bankOf(addr);
+        Addr row = rowOf(addr);
+        if (rowOpen[bank] && openRow[bank] == row) {
+            ++counters.rowHits;
+            return is_write ? cfg.writeHitCycles : cfg.rowHitCycles;
+        }
+        ++counters.rowMisses;
+        openRow[bank] = row;
+        rowOpen[bank] = true;
+        return is_write ? cfg.writeMissCycles : cfg.rowMissCycles;
+    }
+
+    DramAccess
+    serve(Addr addr, Bytes bytes, bool is_write, Cycles now,
+          Cycles &lane_busy)
+    {
+        ++(is_write ? counters.writes : counters.reads);
+        std::size_t bank = bankOf(addr);
+        DramAccess result;
+        result.rowHit = rowOpen[bank] && openRow[bank] == rowOf(addr);
+        Cycles start = std::max(now, bankBusyUntil[bank]);
+        Cycles activation = 0;
+        Cycles data = 0;
+        Addr cursor = addr;
+        Bytes remaining = bytes;
+        while (remaining > 0) {
+            Addr row_end = rowOf(cursor) + cfg.rowBytes;
+            Bytes chunk = std::min<Bytes>(remaining, row_end - cursor);
+            activation += serveWithinRow(cursor, is_write);
+            Bytes beats = (chunk + cfg.beatBytes - 1) / cfg.beatBytes;
+            data += beats * cfg.burstBeatCycles;
+            cursor += chunk;
+            remaining -= chunk;
+        }
+        Cycles complete = std::max(start + activation, lane_busy) + data;
+        bankBusyUntil[bank] = complete;
+        lane_busy = complete;
+        result.start = start;
+        result.complete = complete;
+        counters.busyCycles += activation + data;
+        return result;
+    }
+
+    DramConfig cfg;
+    DramStats counters;
+    std::vector<Addr> openRow;
+    std::vector<bool> rowOpen;
+    std::vector<Cycles> bankBusyUntil;
+    Cycles demandBusyUntil = 0;
+    Cycles backgroundBusyUntil = 0;
+};
+
+void
+expectSameDramStats(const DramStats &got, const DramStats &want)
+{
+    EXPECT_EQ(got.reads, want.reads);
+    EXPECT_EQ(got.writes, want.writes);
+    EXPECT_EQ(got.rowHits, want.rowHits);
+    EXPECT_EQ(got.rowMisses, want.rowMisses);
+    EXPECT_EQ(got.busyCycles, want.busyCycles);
+}
+
+/** Seeded DRAM geometry: power-of-two and odd bank counts alike. */
+DramConfig
+fuzzDramConfig(ct::util::Rng &rng)
+{
+    const int bank_counts[] = {1, 2, 3, 4, 6, 8};
+    DramConfig cfg;
+    cfg.rowBytes = 128u << rng.nextBelow(4);
+    cfg.banks = bank_counts[rng.nextBelow(6)];
+    cfg.bankSpanBytes = cfg.rowBytes << rng.nextBelow(3);
+    cfg.rowHitCycles = 1 + rng.nextBelow(8);
+    cfg.rowMissCycles = cfg.rowHitCycles + rng.nextBelow(16);
+    cfg.writeHitCycles = 1 + rng.nextBelow(8);
+    cfg.writeMissCycles = cfg.writeHitCycles + rng.nextBelow(16);
+    cfg.beatBytes = 8u << rng.nextBelow(2);
+    cfg.burstBeatCycles = 1 + rng.nextBelow(2);
+    return cfg;
+}
+
+TEST_P(DramFuzz, MatchesReferenceAcrossBanksAndRowCrossings)
+{
+    ct::util::Rng rng(GetParam() + 900);
+    DramConfig cfg = fuzzDramConfig(rng);
+    Dram dram(cfg);
+    ReferenceDram ref(cfg);
+
+    Cycles now = 0;
+    Addr cursor = 0;
+    for (int i = 0; i < 4000; ++i) {
+        // Word streams (single-row fast path), random jumps (bank and
+        // row changes) and line- to page-sized requests at arbitrary
+        // word offsets, many of which straddle one or more rows.
+        if (rng.nextBelow(4) == 0)
+            cursor = rng.nextBelow(1u << 20) & ~7ull;
+        else
+            cursor += 8;
+        Bytes bytes = rng.nextBelow(3) == 0
+                          ? 8 * (1 + rng.nextBelow(cfg.rowBytes / 2))
+                          : 8;
+        bool write = rng.nextBelow(2) == 1;
+        bool background = rng.nextBelow(3) == 0;
+        now += rng.nextBelow(12);
+        if (rng.nextBelow(200) == 0) {
+            dram.closeRows();
+            ref.closeRows();
+        }
+        DramAccess got = background
+                             ? dram.accessBackground(cursor, bytes,
+                                                     write, now)
+                             : dram.access(cursor, bytes, write, now);
+        DramAccess want = background
+                              ? ref.accessBackground(cursor, bytes,
+                                                     write, now)
+                              : ref.access(cursor, bytes, write, now);
+        ASSERT_EQ(got.start, want.start) << "step " << i;
+        ASSERT_EQ(got.complete, want.complete) << "step " << i;
+        ASSERT_EQ(got.rowHit, want.rowHit) << "step " << i;
+    }
+    expectSameDramStats(dram.stats(), ref.stats());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DramFuzz,
                          testing::Range<std::uint64_t>(1, 7));
+
+/**
+ * The write queue as a std::deque with a per-entry issued flag and a
+ * full rescan for the unissued count on every enqueue.
+ */
+class ReferenceWriteBuffer
+{
+  public:
+    ReferenceWriteBuffer(const WriteBufferConfig &config,
+                         ReferenceDram &dram)
+        : cfg(config), dram(dram)
+    {
+    }
+
+    Cycles
+    store(Addr addr, Bytes bytes, Cycles now)
+    {
+        ++counters.stores;
+        retire(now);
+        Addr line = alignDown(addr, cfg.lineBytes);
+        if (cfg.entries == 0) {
+            Cycles cost =
+                dram.accessBackground(addr, bytes, true, now).complete -
+                now;
+            counters.stallCycles += cost;
+            return cost;
+        }
+        if (cfg.coalesce && !queue.empty() && !queue.back().issued &&
+            queue.back().line == line) {
+            ++counters.coalesced;
+            queue.back().bytes += bytes;
+            return 0;
+        }
+        Cycles stall = 0;
+        if (queue.size() >= cfg.entries) {
+            ++counters.fullStalls;
+            issueBatch(now);
+            stall = queue.front().completesAt > now
+                        ? queue.front().completesAt - now
+                        : 0;
+            counters.stallCycles += stall;
+            now += stall;
+            queue.pop_front();
+            retire(now);
+        }
+        queue.push_back({line, addr, bytes, false, 0});
+        unsigned unissued = 0;
+        for (const auto &e : queue)
+            unissued += !e.issued;
+        if (unissued >= std::max(1u, cfg.drainBatch))
+            issueBatch(now);
+        return stall;
+    }
+
+    Cycles
+    drainTime(Cycles now)
+    {
+        issueBatch(now);
+        if (queue.empty() || queue.back().completesAt <= now)
+            return 0;
+        return queue.back().completesAt - now;
+    }
+
+    std::size_t
+    occupancy(Cycles now) const
+    {
+        std::size_t count = 0;
+        for (const auto &e : queue)
+            count += !e.issued || e.completesAt > now;
+        return count;
+    }
+
+    const WriteBufferStats &stats() const { return counters; }
+
+  private:
+    struct Entry
+    {
+        Addr line;
+        Addr addr;
+        Bytes bytes;
+        bool issued;
+        Cycles completesAt;
+    };
+
+    void
+    retire(Cycles now)
+    {
+        while (!queue.empty() && queue.front().issued &&
+               queue.front().completesAt <= now)
+            queue.pop_front();
+    }
+
+    void
+    issueBatch(Cycles now)
+    {
+        for (auto &entry : queue) {
+            if (entry.issued)
+                continue;
+            entry.completesAt =
+                dram.accessBackground(entry.addr, entry.bytes, true, now)
+                    .complete;
+            entry.issued = true;
+        }
+    }
+
+    WriteBufferConfig cfg;
+    ReferenceDram &dram;
+    WriteBufferStats counters;
+    std::deque<Entry> queue;
+};
+
+class WriteBufferFuzz : public testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(WriteBufferFuzz, RingMatchesDequeReference)
+{
+    ct::util::Rng rng(GetParam());
+    const unsigned entry_counts[] = {0, 1, 2, 3, 4, 6, 8};
+    const unsigned batches[] = {0, 1, 2, 4, 7};
+    WriteBufferConfig cfg;
+    cfg.entries = entry_counts[rng.nextBelow(7)];
+    cfg.coalesce = rng.nextBelow(4) != 0;
+    cfg.lineBytes = 32u << rng.nextBelow(2);
+    cfg.drainBatch = batches[rng.nextBelow(5)];
+    DramConfig dram_cfg = fuzzDramConfig(rng);
+    Dram dram(dram_cfg);
+    ReferenceDram ref_dram(dram_cfg);
+    WriteBuffer wbq(cfg, dram);
+    ReferenceWriteBuffer ref(cfg, ref_dram);
+
+    Cycles now = 0;
+    Addr cursor = 0;
+    for (int i = 0; i < 6000; ++i) {
+        std::uint64_t op = rng.nextBelow(100);
+        if (op < 3) {
+            Cycles got = wbq.drainTime(now);
+            ASSERT_EQ(got, ref.drainTime(now)) << "drain, step " << i;
+            now += rng.nextBelow(2) ? got : 0;
+        } else if (op < 10) {
+            ASSERT_EQ(wbq.occupancy(now), ref.occupancy(now))
+                << "occupancy, step " << i;
+        } else {
+            // Same-line runs (coalescing), strides and random jumps.
+            std::uint64_t step = rng.nextBelow(8);
+            if (step == 0)
+                cursor = rng.nextBelow(1u << 18) & ~7ull;
+            else
+                cursor += step < 5 ? 8 : 8 * rng.nextBelow(32);
+            Cycles got = wbq.store(cursor, 8, now);
+            ASSERT_EQ(got, ref.store(cursor, 8, now))
+                << "store, step " << i;
+            // The issuing processor usually absorbs the stall, but
+            // may also be modeled as racing ahead of it.
+            now += (rng.nextBelow(4) ? got : 0) + rng.nextBelow(6);
+        }
+    }
+    const WriteBufferStats &got = wbq.stats();
+    const WriteBufferStats &want = ref.stats();
+    EXPECT_EQ(got.stores, want.stores);
+    EXPECT_EQ(got.coalesced, want.coalesced);
+    EXPECT_EQ(got.fullStalls, want.fullStalls);
+    EXPECT_EQ(got.stallCycles, want.stallCycles);
+    expectSameDramStats(dram.stats(), ref_dram.stats());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WriteBufferFuzz,
+                         testing::Range<std::uint64_t>(1, 25));
+
+/** The load pipeline as a std::deque of completion times. */
+class ReferenceLoadPipeline
+{
+  public:
+    explicit ReferenceLoadPipeline(const LoadPipelineConfig &config)
+        : cfg(config)
+    {
+    }
+
+    Cycles
+    load(Cycles completes_at, Cycles now)
+    {
+        completes_at += cfg.pipeLatency;
+        if (!cfg.enabled)
+            return completes_at > now ? completes_at - now : 0;
+        Cycles stall = 0;
+        while (!outstanding.empty() && outstanding.front() <= now)
+            outstanding.pop_front();
+        if (outstanding.size() >= cfg.depth) {
+            stall = outstanding.front() - now;
+            outstanding.pop_front();
+        }
+        outstanding.push_back(completes_at);
+        return stall;
+    }
+
+    Cycles
+    drainTime(Cycles now) const
+    {
+        if (outstanding.empty() || outstanding.back() <= now)
+            return 0;
+        return outstanding.back() - now;
+    }
+
+    void reset() { outstanding.clear(); }
+
+  private:
+    LoadPipelineConfig cfg;
+    std::deque<Cycles> outstanding;
+};
+
+class LoadPipelineFuzz : public testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(LoadPipelineFuzz, RingMatchesDequeReference)
+{
+    ct::util::Rng rng(GetParam());
+    LoadPipelineConfig cfg;
+    cfg.enabled = rng.nextBelow(5) != 0;
+    cfg.depth = 1 + static_cast<unsigned>(rng.nextBelow(6));
+    cfg.pipeLatency = rng.nextBelow(4);
+    LoadPipeline pipe(cfg);
+    ReferenceLoadPipeline ref(cfg);
+
+    Cycles now = 0;
+    for (int i = 0; i < 6000; ++i) {
+        std::uint64_t op = rng.nextBelow(100);
+        if (op < 4) {
+            ASSERT_EQ(pipe.drainTime(now), ref.drainTime(now))
+                << "drain, step " << i;
+        } else if (op < 6) {
+            pipe.reset();
+            ref.reset();
+        } else {
+            // Completion times are not monotone: a row hit issued
+            // after a row miss finishes first.
+            Cycles completes = now + rng.nextBelow(40);
+            Cycles got = pipe.load(completes, now);
+            ASSERT_EQ(got, ref.load(completes, now)) << "load, step " << i;
+            now += (rng.nextBelow(4) ? got : 0) + rng.nextBelow(5);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LoadPipelineFuzz,
+                         testing::Range<std::uint64_t>(1, 25));
 
 } // namespace

@@ -12,7 +12,7 @@ TEST(PatternWalk, ContiguousAddresses)
     auto w = contiguousWalk(128);
     EXPECT_EQ(w.elementAddr(ram, 0), 128u);
     EXPECT_EQ(w.elementAddr(ram, 5), 128u + 40u);
-    EXPECT_FALSE(w.needsIndexLoad());
+    EXPECT_FALSE(w.pattern.isIndexed());
 }
 
 TEST(PatternWalk, StridedAddresses)
@@ -39,7 +39,7 @@ TEST(PatternWalk, IndexedFollowsIndexArray)
     ram.writeWord(idx + 8, 0);
     ram.writeWord(idx + 16, 3);
     auto w = indexedWalk(0, idx);
-    EXPECT_TRUE(w.needsIndexLoad());
+    EXPECT_TRUE(w.pattern.isIndexed());
     EXPECT_EQ(w.elementAddr(ram, 0), 56u);
     EXPECT_EQ(w.elementAddr(ram, 1), 0u);
     EXPECT_EQ(w.elementAddr(ram, 2), 24u);

@@ -319,7 +319,8 @@ runSim(core::MachineId machine, const std::string &xqy,
         // The resilience controller drives the reliable transport,
         // whose cancellable retransmit timers are not window-safe.
         m.setParallelEnabled(false);
-        rt::ResilienceController controller(cfg, *x, *y);
+        const rt::ResilienceOptions options;
+        rt::ResilienceController controller(cfg, *x, *y, options);
         rt::AdaptiveResult ar =
             rt::runAdaptiveExchange(m, op, controller, rounds);
 
