@@ -72,6 +72,37 @@ operator new[](std::size_t size, std::align_val_t align)
     return ::operator new(size, align);
 }
 
+// The nothrow forms (std::stable_sort's temporary buffer uses them)
+// must come from the same allocator the replaced deletes free into.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocated.fetch_add(size, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(size, tag);
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align,
+             const std::nothrow_t &) noexcept
+{
+    g_allocated.fetch_add(size, std::memory_order_relaxed);
+    return std::aligned_alloc(static_cast<std::size_t>(align),
+                              size ? size : 1);
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align,
+               const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(size, align, tag);
+}
+
 void
 operator delete(void *p) noexcept
 {
@@ -116,6 +147,31 @@ operator delete(void *p, std::size_t, std::align_val_t) noexcept
 
 void
 operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    releaseBlock(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    releaseBlock(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    releaseBlock(p);
+}
+
+void
+operator delete(void *p, std::align_val_t, const std::nothrow_t &) noexcept
+{
+    releaseBlock(p);
+}
+
+void
+operator delete[](void *p, std::align_val_t,
+                  const std::nothrow_t &) noexcept
 {
     releaseBlock(p);
 }
