@@ -158,11 +158,10 @@ seedSources(sim::Machine &machine, const CommOp &op)
 {
     for (std::size_t f = 0; f < op.flows.size(); ++f) {
         const Flow &flow = op.flows[f];
-        sim::NodeRam &ram = machine.node(flow.src).ram();
-        sim::withCursor(flow.srcWalk, 0, [&](auto cur) {
-            for (std::uint64_t i = 0; i < flow.words; ++i, cur.advance())
-                ram.writeWord(cur.elementAddr(ram), sourceValue(f, i));
-        });
+        sim::fillWalk(machine.node(flow.src).ram(), flow.srcWalk, 0,
+                      flow.words, [f](std::uint64_t i) {
+                          return sourceValue(f, i);
+                      });
     }
 }
 
@@ -173,13 +172,26 @@ verifyDelivery(sim::Machine &machine, const CommOp &op)
     for (const Flow &flow : op.flows) {
         const sim::NodeRam &src_ram = machine.node(flow.src).ram();
         const sim::NodeRam &dst_ram = machine.node(flow.dst).ram();
+        if (flow.srcWalk.pattern.isContiguous() &&
+            flow.dstWalk.pattern.isContiguous()) {
+            mismatches += sim::countMismatchedWords(
+                src_ram, flow.srcWalk.base, dst_ram, flow.dstWalk.base,
+                flow.words);
+            continue;
+        }
+        // One page window per array read: source and destination
+        // data, and each side's index array.
+        const sim::PageReader src_data(src_ram);
+        const sim::PageReader src_index(src_ram);
+        const sim::PageReader dst_data(dst_ram);
+        const sim::PageReader dst_index(dst_ram);
         mismatches += sim::withCursor(flow.srcWalk, 0, [&](auto scur) {
             return sim::withCursor(flow.dstWalk, 0, [&](auto dcur) {
                 std::uint64_t bad = 0;
                 for (std::uint64_t i = 0; i < flow.words;
                      ++i, scur.advance(), dcur.advance())
-                    bad += src_ram.readWord(scur.elementAddr(src_ram)) !=
-                           dst_ram.readWord(dcur.elementAddr(dst_ram));
+                    bad += src_data.readWord(scur.elementAddr(src_index)) !=
+                           dst_data.readWord(dcur.elementAddr(dst_index));
                 return bad;
             });
         });

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <iomanip>
+#include <iterator>
 #include <optional>
 #include <sstream>
 
@@ -27,29 +28,30 @@ crossValidate(ValidationOptions options)
         core::AccessPattern::indexed(),
     };
 
-    // Per-machine inputs, measured serially up front: the measured
-    // table is itself a simulation campaign, and the workers only
-    // ever read these (shared immutable state is fine; DESIGN.md
-    // §14).
+    // Per-machine inputs, measured up front as one farm task per
+    // machine: the measured table is itself a simulation campaign,
+    // and the cell workers only ever read these (shared immutable
+    // state is fine; DESIGN.md §14).
     struct MachineCtx
     {
         sim::MachineConfig cfg;
         core::ThroughputTable table;
         core::ExecutionProfile profile;
     };
-    std::vector<MachineCtx> machines;
-    for (core::MachineId id :
-         {core::MachineId::T3d, core::MachineId::Paragon}) {
-        sim::MachineConfig cfg = sim::configFor(id);
-        // Feed the model the simulator-measured basic-transfer table,
-        // exactly as the paper feeds measured figures into the model:
-        // the comparison then tests the *composition rules*, not the
-        // table values.
-        core::ThroughputTable table = sim::measuredTable(cfg);
-        core::ExecutionProfile profile = executionProfileFor(cfg);
-        machines.push_back(
-            {std::move(cfg), std::move(table), profile});
-    }
+    const core::MachineId machine_ids[] = {core::MachineId::T3d,
+                                           core::MachineId::Paragon};
+    sweep::Farm farm({options.threads, 0});
+    const std::vector<MachineCtx> machines = farm.map<MachineCtx>(
+        std::size(machine_ids), [&](std::size_t i, int) {
+            sim::MachineConfig cfg = sim::configFor(machine_ids[i]);
+            // Feed the model the simulator-measured basic-transfer
+            // table, exactly as the paper feeds measured figures into
+            // the model: the comparison then tests the *composition
+            // rules*, not the table values.
+            core::ThroughputTable table = sim::measuredTable(cfg);
+            core::ExecutionProfile profile = executionProfileFor(cfg);
+            return MachineCtx{std::move(cfg), std::move(table), profile};
+        });
 
     // Expand the full cell list before anything runs, so the merged
     // report is a pure function of the grid (never of the schedule).
@@ -63,8 +65,7 @@ crossValidate(ValidationOptions options)
     };
     std::vector<PendingCell> pending;
     for (std::size_t mi = 0; mi < machines.size(); ++mi) {
-        core::MachineId id = mi == 0 ? core::MachineId::T3d
-                                     : core::MachineId::Paragon;
+        core::MachineId id = machine_ids[mi];
         for (const core::StyleInfo &info : core::styleRegistry()) {
             for (const core::AccessPattern &x : patterns) {
                 for (const core::AccessPattern &y : patterns) {
@@ -82,7 +83,6 @@ crossValidate(ValidationOptions options)
     // Each cell builds its own backends from the shared read-only
     // inputs; results land in canonical cell order regardless of the
     // steal schedule.
-    sweep::Farm farm({options.threads, 0});
     auto cells = farm.map<std::optional<ValidationCell>>(
         pending.size(),
         [&](std::size_t i, int) -> std::optional<ValidationCell> {

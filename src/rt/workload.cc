@@ -24,8 +24,7 @@ allocWalk(sim::Node &node, AccessPattern p, std::uint64_t words,
         Addr base = ram.alloc(words * 8);
         Addr idx = ram.alloc(words * 8);
         auto perm = rng.permutation(words);
-        for (std::uint64_t i = 0; i < words; ++i)
-            ram.writeWord(idx + i * 8, perm[i]);
+        ram.writeWords(idx, perm.data(), words);
         return sim::indexedWalk(base, idx);
       }
       case PatternKind::Fixed:
@@ -41,9 +40,10 @@ replicateIndexArray(const sim::PatternWalk &walk, std::uint64_t words,
     if (!walk.pattern.isIndexed())
         return walk;
     Addr copy = node.ram().alloc(words * 8);
-    for (std::uint64_t i = 0; i < words; ++i)
-        node.ram().writeWord(copy + i * 8,
-                             owner_ram.readWord(walk.indexAddr(i)));
+    const sim::PageReader index(owner_ram);
+    node.ram().fillWords(copy, words, [&](std::uint64_t i) {
+        return index.readWord(walk.indexAddr(i));
+    });
     sim::PatternWalk replica = walk;
     replica.indexBase = copy;
     return replica;
@@ -82,8 +82,7 @@ walkForIndices(const std::vector<std::uint64_t> &locals,
                                 pattern.stride(), pattern.block());
       case PatternKind::Indexed: {
         Addr idx = index_home.ram().alloc(locals.size() * 8);
-        for (std::size_t i = 0; i < locals.size(); ++i)
-            index_home.ram().writeWord(idx + i * 8, locals[i]);
+        index_home.ram().writeWords(idx, locals.data(), locals.size());
         return sim::indexedWalk(array_base, idx);
       }
       default:

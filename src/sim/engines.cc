@@ -70,8 +70,8 @@ DepositEngine::deposit(const Packet &packet, Cycles arrival)
         // Contiguous block: one streaming write, engine processing
         // pipelined with the DRAM burst.
         Bytes bytes = packet.payloadBytes();
-        for (std::size_t i = 0; i < packet.words.size(); ++i)
-            ram.writeWord(packet.destBase + i * 8, packet.words[i]);
+        ram.writeWords(packet.destBase, packet.words.data(),
+                       packet.words.size());
         Cycles dram = bytes > 0
                           ? mem.engineWrite(packet.destBase, bytes, now,
                                             BusMaster::NetworkInterface)

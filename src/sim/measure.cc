@@ -74,8 +74,7 @@ makeWalk(Node &node, AccessPattern p, std::uint64_t words,
         Addr base = ram.alloc(words * 8);
         Addr idx = ram.alloc(words * 8);
         auto perm = rng.permutation(words);
-        for (std::uint64_t i = 0; i < words; ++i)
-            ram.writeWord(idx + i * 8, perm[i]);
+        ram.writeWords(idx, perm.data(), words);
         // The index array is re-read throughout the walk; keep it
         // out of the residency window's recycling.
         ram.pinRange(idx, words * 8);
@@ -99,10 +98,8 @@ void
 fillChunk(NodeRam &ram, const PatternWalk &walk, std::uint64_t first,
           std::uint64_t count)
 {
-    withCursor(walk, first, [&](auto cur) {
-        for (std::uint64_t i = 0; i < count; ++i, cur.advance())
-            ram.writeWord(cur.elementAddr(ram), 0x1000 + first + i);
-    });
+    fillWalk(ram, walk, first, count,
+             [first](std::uint64_t i) { return 0x1000 + first + i; });
 }
 
 void

@@ -2,10 +2,67 @@
 
 #include <algorithm>
 #include <cstring>
+#include <mutex>
 
 #include "util/logging.h"
 
 namespace ct::sim {
+
+namespace {
+
+/**
+ * Blocks released by any NodeRam, handed to the next one that needs a
+ * block. Without it, the heap trim that follows a Machine's teardown
+ * returns its pages to the kernel and the next Machine faults them in
+ * again. One pool for all threads: it holds at most the peak number of
+ * blocks in use at once, where per-thread caches would each hold
+ * their own thread's peak. Every block has the one NodeRam block size.
+ */
+class BlockPool
+{
+  public:
+    using Block = std::unique_ptr<std::uint8_t[]>;
+
+    Block
+    take(std::size_t bytes)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            if (!spare.empty()) {
+                Block block = std::move(spare.back());
+                spare.pop_back();
+                return block;
+            }
+        }
+        // Left uninitialized: each page is zeroed on first write, so
+        // untouched frames of a block cost no host memory.
+        return std::make_unique_for_overwrite<std::uint8_t[]>(bytes);
+    }
+
+    void
+    give(std::vector<Block> &blocks)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        for (Block &block : blocks)
+            spare.push_back(std::move(block));
+        blocks.clear();
+    }
+
+  private:
+    std::mutex mutex;
+    std::vector<Block> spare;
+};
+
+/** The process-wide pool; never destroyed, so a NodeRam torn down
+ *  during static destruction can still return its blocks. */
+BlockPool &
+blockPool()
+{
+    static BlockPool *pool = new BlockPool;
+    return *pool;
+}
+
+} // namespace
 
 NodeRam::NodeRam(Bytes size_bytes, Bytes alloc_skew_bytes)
     : allocSkew(alloc_skew_bytes)
@@ -13,6 +70,11 @@ NodeRam::NodeRam(Bytes size_bytes, Bytes alloc_skew_bytes)
     if (size_bytes == 0)
         util::fatal("NodeRam: zero size");
     capacity = size_bytes;
+}
+
+NodeRam::~NodeRam()
+{
+    blockPool().give(blocks);
 }
 
 Addr
@@ -32,11 +94,14 @@ void
 NodeRam::reset()
 {
     next = 0;
-    pages.clear();
+    directory.clear();
+    leaves.clear();
+    blockPool().give(blocks);
+    blockFramesLeft = 0;
+    freeFrames.clear();
     recycleQueue.clear();
     pinnedRanges.clear();
-    for (TransEntry &entry : translations)
-        entry = TransEntry{};
+    resident = 0;
 }
 
 void
@@ -53,16 +118,10 @@ NodeRam::pinRange(Addr addr, Bytes bytes)
     if (bytes == 0)
         return;
     checkRange(addr, bytes);
-    Addr first = addr / kPageBytes;
-    Addr last = (addr + bytes - 1) / kPageBytes;
-    pinnedRanges.emplace_back(first, last);
     // Pages already materialized inside the range may still sit on
-    // the recycle queue; mark them so a stale queue entry is skipped.
-    for (Addr page = first; page <= last; ++page) {
-        auto it = pages.find(page);
-        if (it != pages.end())
-            it->second.pinned = true;
-    }
+    // the recycle queue; evictToLimit() skips them by this range.
+    pinnedRanges.emplace_back(addr / kPageBytes,
+                              (addr + bytes - 1) / kPageBytes);
 }
 
 void
@@ -81,71 +140,80 @@ NodeRam::isPinned(Addr page_index) const
     return false;
 }
 
-const std::uint8_t *
-NodeRam::peekPage(Addr page_index) const
+NodeRam::Leaf *
+NodeRam::emptyLeaf()
 {
-    TransEntry &entry = translationSlot(page_index);
-    if (entry.pageIndexPlusOne == page_index + 1)
-        return entry.data;
-    auto it = pages.find(page_index);
-    if (it == pages.end())
-        return nullptr;
-    entry.pageIndexPlusOne = page_index + 1;
-    entry.data = it->second.data.get();
-    return entry.data;
+    static Leaf empty;
+    return &empty;
+}
+
+std::uint8_t *&
+NodeRam::slotFor(Addr page_index)
+{
+    Addr leaf = page_index >> kLeafShift;
+    if (leaf >= directory.size())
+        directory.resize(leaf + 1, emptyLeaf());
+    if (directory[leaf] == emptyLeaf()) {
+        leaves.push_back(std::make_unique<Leaf>());
+        directory[leaf] = leaves.back().get();
+    }
+    return directory[leaf]->frames[page_index & (kLeafPages - 1)];
 }
 
 std::uint8_t *
-NodeRam::touchPage(Addr page_index)
+NodeRam::takeFrame()
 {
-    TransEntry &entry = translationSlot(page_index);
-    if (entry.pageIndexPlusOne == page_index + 1)
-        return entry.data;
-    auto [it, inserted] = pages.try_emplace(page_index);
-    Page &page = it->second;
-    if (inserted) {
-        page.data = std::make_unique<std::uint8_t[]>(kPageBytes);
-        page.pinned = isPinned(page_index);
-        if (!page.pinned)
-            recycleQueue.push_back(page_index);
-        if (residencyLimit)
-            evictToLimit();
-        if (pages.size() > peakResident)
-            peakResident = pages.size();
-        // evictToLimit may have recycled this very page only if the
-        // limit is zero-sized nonsense; guard by re-looking it up.
-        it = pages.find(page_index);
-        if (it == pages.end())
-            util::fatal("NodeRam: residency limit ", residencyLimit,
-                        " too small to hold the working page");
+    if (!freeFrames.empty()) {
+        std::uint8_t *frame = freeFrames.back();
+        freeFrames.pop_back();
+        return frame;
     }
-    entry.pageIndexPlusOne = page_index + 1;
-    entry.data = it->second.data.get();
-    return entry.data;
+    if (blockFramesLeft == 0) {
+        blocks.push_back(blockPool().take(kBlockPages * kPageBytes));
+        blockFramesLeft = kBlockPages;
+    }
+    --blockFramesLeft;
+    return blocks.back().get() +
+           (kBlockPages - 1 - blockFramesLeft) * kPageBytes;
+}
+
+std::uint8_t *
+NodeRam::materialize(Addr page_index, bool zero)
+{
+    std::uint8_t *frame = takeFrame();
+    if (zero)
+        std::memset(frame, 0, kPageBytes);
+    slotFor(page_index) = frame;
+    if (!isPinned(page_index))
+        recycleQueue.push_back(page_index);
+    ++resident;
+    if (residencyLimit)
+        evictToLimit();
+    if (resident > peakResident)
+        peakResident = resident;
+    // evictToLimit may have recycled this very page only if the limit
+    // is too small to hold any unpinned page.
+    if (frameOf(page_index) != frame)
+        util::fatal("NodeRam: residency limit ", residencyLimit,
+                    " too small to hold the working page");
+    return frame;
 }
 
 void
 NodeRam::evictToLimit()
 {
-    while (pages.size() > residencyLimit && !recycleQueue.empty()) {
+    while (resident > residencyLimit && !recycleQueue.empty()) {
         Addr victim = recycleQueue.front();
         recycleQueue.pop_front();
-        auto it = pages.find(victim);
         // Stale entries: the page was pinned after materializing.
-        if (it == pages.end() || it->second.pinned)
+        if (isPinned(victim))
             continue;
-        pages.erase(it);
-        dropTranslation(victim);
+        std::uint8_t *&slot = slotFor(victim);
+        freeFrames.push_back(slot);
+        slot = nullptr;
+        --resident;
         ++recycled;
     }
-}
-
-void
-NodeRam::dropTranslation(Addr page_index)
-{
-    TransEntry &entry = translationSlot(page_index);
-    if (entry.pageIndexPlusOne == page_index + 1)
-        entry = TransEntry{};
 }
 
 void
@@ -153,11 +221,9 @@ NodeRam::readBytes(Addr addr, void *out, Bytes bytes) const
 {
     auto *dst = static_cast<std::uint8_t *>(out);
     while (bytes > 0) {
-        Addr page_index = addr / kPageBytes;
         Bytes offset = addr % kPageBytes;
         Bytes chunk = std::min<Bytes>(bytes, kPageBytes - offset);
-        const std::uint8_t *page = peekPage(page_index);
-        if (page)
+        if (const std::uint8_t *page = peekPage(addr / kPageBytes))
             std::memcpy(dst, page + offset, chunk);
         else
             std::memset(dst, 0, chunk);
@@ -172,29 +238,29 @@ NodeRam::writeBytes(Addr addr, const void *in, Bytes bytes)
 {
     auto *src = static_cast<const std::uint8_t *>(in);
     while (bytes > 0) {
-        Addr page_index = addr / kPageBytes;
         Bytes offset = addr % kPageBytes;
         Bytes chunk = std::min<Bytes>(bytes, kPageBytes - offset);
-        std::memcpy(touchPage(page_index) + offset, src, chunk);
+        std::uint8_t *page = chunk == kPageBytes
+                                 ? touchWholePage(addr / kPageBytes)
+                                 : touchPage(addr / kPageBytes);
+        std::memcpy(page + offset, src, chunk);
         addr += chunk;
         src += chunk;
         bytes -= chunk;
     }
 }
 
+void
+NodeRam::writeWords(Addr addr, const std::uint64_t *in,
+                    std::uint64_t count)
+{
+    checkRange(addr, count * 8);
+    writeBytes(addr, in, count * 8);
+}
+
 std::uint64_t
 NodeRam::readWordSlow(Addr addr) const
 {
-    if (addr % kPageBytes <= kPageBytes - 8) {
-        // Translation miss inside one page: peekPage() refills the
-        // cache when the page is materialized.
-        const std::uint8_t *page = peekPage(addr / kPageBytes);
-        if (!page)
-            return 0;
-        std::uint64_t value;
-        std::memcpy(&value, page + addr % kPageBytes, 8);
-        return value;
-    }
     std::uint64_t value;
     readBytes(addr, &value, 8);
     return value;
@@ -203,13 +269,45 @@ NodeRam::readWordSlow(Addr addr) const
 void
 NodeRam::writeWordSlow(Addr addr, std::uint64_t value)
 {
-    if (addr % kPageBytes <= kPageBytes - 8) {
-        // touchPage() materializes the page and refills the cache.
-        std::memcpy(touchPage(addr / kPageBytes) + addr % kPageBytes,
-                    &value, 8);
-        return;
-    }
     writeBytes(addr, &value, 8);
+}
+
+std::uint64_t
+countMismatchedWords(const NodeRam &a, Addr a_addr, const NodeRam &b,
+                     Addr b_addr, std::uint64_t count)
+{
+    constexpr Bytes page = NodeRam::pageBytes();
+    auto page_data = [](const NodeRam &ram, Addr page_index) {
+        const std::uint8_t *data = ram.peekPage(page_index);
+        return data ? data : NodeRam::zeroPage();
+    };
+    std::uint64_t bad = 0;
+    while (count > 0) {
+        std::uint64_t n = std::min({count, (page - a_addr % page) / 8,
+                                    (page - b_addr % page) / 8});
+        if (n == 0 || !a.pageInRange(a_addr / page) ||
+            !b.pageInRange(b_addr / page)) {
+            // A word straddling two pages, or one on a page only
+            // partly inside the capacity: the range-checked path.
+            bad += a.readWord(a_addr) != b.readWord(b_addr);
+            n = 1;
+        } else {
+            const std::uint8_t *pa =
+                page_data(a, a_addr / page) + a_addr % page;
+            const std::uint8_t *pb =
+                page_data(b, b_addr / page) + b_addr % page;
+            for (std::uint64_t k = 0; k < n; ++k) {
+                std::uint64_t wa, wb;
+                std::memcpy(&wa, pa + k * 8, 8);
+                std::memcpy(&wb, pb + k * 8, 8);
+                bad += wa != wb;
+            }
+        }
+        count -= n;
+        a_addr += n * 8;
+        b_addr += n * 8;
+    }
+    return bad;
 }
 
 } // namespace ct::sim

@@ -49,7 +49,9 @@ PatternWalk indexedWalk(Addr base, Addr index_base);
  *
  * `kIndexed` marks the indexed cursor: each of its elementAddr()
  * calls reads the index array, mirroring the one architectural index
- * load per element, whose address indexAddr() gives.
+ * load per element, whose address indexAddr() gives. elementAddr()
+ * takes anything with NodeRam's readWord(): bulk data paths pass a
+ * PageReader so the index array is read a page at a time.
  */
 class ContiguousCursor
 {
@@ -61,7 +63,7 @@ class ContiguousCursor
     {
     }
 
-    Addr elementAddr(const NodeRam &) const { return addr; }
+    Addr elementAddr(const auto &) const { return addr; }
     void advance() { addr += util::wordBytes; }
 
   private:
@@ -91,7 +93,7 @@ class StridedCursor
         blockLeft = block - first % block;
     }
 
-    Addr elementAddr(const NodeRam &) const { return addr; }
+    Addr elementAddr(const auto &) const { return addr; }
 
     void
     advance()
@@ -125,10 +127,12 @@ class IndexedCursor
     /** Address of the current element's index entry. */
     Addr indexAddr() const { return index; }
 
+    /** @p mem is the NodeRam, or a PageReader over it, that holds
+     *  the index array. */
     Addr
-    elementAddr(const NodeRam &ram) const
+    elementAddr(const auto &mem) const
     {
-        return base + ram.readWord(index) * util::wordBytes;
+        return base + mem.readWord(index) * util::wordBytes;
     }
 
     void advance() { index += util::wordBytes; }
@@ -160,6 +164,30 @@ withCursor(const PatternWalk &walk, std::uint64_t first, Fn &&fn)
         break;
     }
     fixedWalkHasNoElements();
+}
+
+/**
+ * Store `value(i)` at element @p first + i of @p walk for i in
+ * [0, count), resolving each page once per run of elements on it: a
+ * straight loop per page for contiguous walks, a one-page window for
+ * strided and indexed ones. A data-plane fill; it costs no simulated
+ * time.
+ */
+template <typename Fn>
+void
+fillWalk(NodeRam &ram, const PatternWalk &walk, std::uint64_t first,
+         std::uint64_t count, Fn &&value)
+{
+    if (walk.pattern.isContiguous()) {
+        ram.fillWords(walk.base + first * util::wordBytes, count, value);
+        return;
+    }
+    withCursor(walk, first, [&](auto cur) {
+        PageReader index(ram);
+        PageWriter out(ram);
+        for (std::uint64_t i = 0; i < count; ++i, cur.advance())
+            out.writeWord(cur.elementAddr(index), value(i));
+    });
 }
 
 } // namespace ct::sim

@@ -1,6 +1,7 @@
 #include "svc/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -59,6 +60,15 @@ struct Cursor
                 case 'n': out += '\n'; break;
                 case 't': out += '\t'; break;
                 case 'r': out += '\r'; break;
+                case 'b': out += '\b'; break;
+                case 'f': out += '\f'; break;
+                case 'u':
+                    // JsonWriter renders other control characters
+                    // this way; read any basic-plane code point back
+                    // as UTF-8.
+                    if (!parseUnicodeEscape(out))
+                        return false;
+                    continue;
                 default:
                     return fail(std::string("unsupported escape \\") +
                                 e);
@@ -75,6 +85,70 @@ struct Cursor
             return fail("unterminated string");
         ++i; // closing quote
         return true;
+    }
+
+    /** `\uXXXX` at s[i]: appends the code point as UTF-8. */
+    bool parseUnicodeEscape(std::string &out)
+    {
+        if (i + 6 > s.size())
+            return fail("truncated \\u escape");
+        unsigned code = 0;
+        for (std::size_t k = i + 2; k < i + 6; ++k) {
+            auto c = static_cast<unsigned char>(s[k]);
+            if (!std::isxdigit(c))
+                return fail("malformed \\u escape");
+            code = code * 16 +
+                   static_cast<unsigned>(std::isdigit(c)
+                                             ? c - '0'
+                                             : std::tolower(c) - 'a' + 10);
+        }
+        if (code >= 0xD800 && code <= 0xDFFF)
+            return fail("surrogate \\u escapes are not supported");
+        if (code < 0x80) {
+            out += static_cast<char>(code);
+        } else if (code < 0x800) {
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
+        }
+        i += 6;
+        return true;
+    }
+
+    /** Length of the JSON number grammar's match at s[i], 0 if none:
+     *  -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? */
+    std::size_t numberLength() const
+    {
+        std::size_t k = i;
+        auto digits = [&] {
+            std::size_t from = k;
+            while (k < s.size() &&
+                   std::isdigit(static_cast<unsigned char>(s[k])))
+                ++k;
+            return k - from;
+        };
+        if (k < s.size() && s[k] == '-')
+            ++k;
+        if (k < s.size() && s[k] == '0')
+            ++k;
+        else if (digits() == 0)
+            return 0;
+        if (k < s.size() && s[k] == '.') {
+            ++k;
+            if (digits() == 0)
+                return 0;
+        }
+        if (k < s.size() && (s[k] == 'e' || s[k] == 'E')) {
+            ++k;
+            if (k < s.size() && (s[k] == '+' || s[k] == '-'))
+                ++k;
+            if (digits() == 0)
+                return 0;
+        }
+        return k - i;
     }
 
     bool parseValue(JsonValue &out)
@@ -107,15 +181,18 @@ struct Cursor
             i += 4;
             return true;
         }
-        // Number.
-        const char *start = s.c_str() + i;
-        char *end = nullptr;
-        double v = std::strtod(start, &end);
-        if (end == start)
+        // Number: strtod over exactly the JSON grammar's match, so
+        // none of its extensions (hex, inf, nan, a leading '+') get
+        // in.
+        std::size_t length = numberLength();
+        if (length == 0)
             return fail("malformed value");
+        double v = std::strtod(s.substr(i, length).c_str(), nullptr);
+        if (!std::isfinite(v))
+            return fail("number out of range");
         out.kind = JsonValue::Kind::Number;
         out.num = v;
-        i += static_cast<std::size_t>(end - start);
+        i += length;
         return true;
     }
 };

@@ -256,12 +256,10 @@ peekRequestId(const std::string &line)
     if (!parsed)
         return 0;
     auto it = parsed->find("id");
-    if (it == parsed->end() ||
-        it->second.kind != JsonValue::Kind::Number ||
-        it->second.num < 0 ||
-        it->second.num != std::floor(it->second.num))
+    std::uint64_t id = 0;
+    if (it == parsed->end() || !readUint(*parsed, "id", id, nullptr))
         return 0;
-    return static_cast<std::uint64_t>(it->second.num);
+    return id;
 }
 
 } // namespace ct::svc

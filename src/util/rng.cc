@@ -8,12 +8,6 @@ namespace ct::util {
 
 namespace {
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 /** splitmix64, used to expand the seed into generator state. */
 std::uint64_t
 splitmix(std::uint64_t &x)
@@ -34,32 +28,10 @@ Rng::Rng(std::uint64_t seed)
         s = splitmix(x);
 }
 
-std::uint64_t
-Rng::next()
+void
+Rng::zeroBound()
 {
-    std::uint64_t result = rotl(state[1] * 5, 7) * 9;
-    std::uint64_t t = state[1] << 17;
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl(state[3], 45);
-    return result;
-}
-
-std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
-{
-    if (bound == 0)
-        fatal("Rng::nextBelow: zero bound");
-    // Rejection sampling to avoid modulo bias.
-    std::uint64_t threshold = (0 - bound) % bound;
-    for (;;) {
-        std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
+    fatal("Rng::nextBelow: zero bound");
 }
 
 std::int64_t

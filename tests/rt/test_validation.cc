@@ -52,4 +52,15 @@ TEST(Validation, JsonCarriesPerCellError)
     EXPECT_NE(json.find("\"all_pass\": true"), std::string::npos);
 }
 
+TEST(Validation, FarmWidthLeavesTheReportUnchanged)
+{
+    // The measured tables and the cells both run on the farm; the
+    // report is the same bytes at any width.
+    rt::ValidationOptions wide;
+    wide.threads = 4;
+    const rt::ValidationReport parallel = rt::crossValidate(wide);
+    EXPECT_EQ(rt::validationJson(parallel), rt::validationJson(report()));
+    EXPECT_EQ(formatValidation(parallel), formatValidation(report()));
+}
+
 } // namespace

@@ -6,6 +6,9 @@
  * ring-buffer write queue, load pipeline and flat-state DRAM against
  * the straightforward deque- and per-bank-vector models they
  * replaced, which must agree on every returned cycle and counter.
+ * The block-backed NodeRam and its page-run paths are checked the
+ * same way against the hash-map page store it replaced, which must
+ * agree on every read value and page counter.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +17,13 @@
 #include <deque>
 #include <list>
 #include <map>
+#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/cache.h"
 #include "sim/dram.h"
+#include "sim/node_ram.h"
 #include "sim/prefetch.h"
 #include "sim/write_buffer.h"
 #include "util/rng.h"
@@ -582,6 +588,283 @@ TEST_P(LoadPipelineFuzz, RingMatchesDequeReference)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LoadPipelineFuzz,
+                         testing::Range<std::uint64_t>(1, 25));
+
+/**
+ * The sparse hash-map page store NodeRam replaced: one heap page per
+ * std::unordered_map entry, a FIFO recycle queue and per-page pin
+ * flags. Word accesses go byte-range-wise through the page map (the
+ * original's translation cache is only a cache and is left out).
+ */
+class ReferenceNodeRam
+{
+  public:
+    explicit ReferenceNodeRam(Bytes alloc_skew_bytes)
+        : allocSkew(alloc_skew_bytes)
+    {
+    }
+
+    Addr
+    alloc(Bytes bytes, Bytes align)
+    {
+        Addr base = (next + align - 1) & ~(static_cast<Addr>(align) - 1);
+        next = base + bytes + allocSkew;
+        return base;
+    }
+
+    void
+    reset()
+    {
+        next = 0;
+        pages.clear();
+        recycleQueue.clear();
+        pinnedRanges.clear();
+    }
+
+    std::uint64_t
+    readWord(Addr addr) const
+    {
+        std::uint64_t value = 0;
+        auto *dst = reinterpret_cast<std::uint8_t *>(&value);
+        for (Bytes b = 0; b < 8; ++b) {
+            auto it = pages.find((addr + b) / kPageBytes);
+            dst[b] = it == pages.end()
+                         ? 0
+                         : it->second.data[(addr + b) % kPageBytes];
+        }
+        return value;
+    }
+
+    void
+    writeWord(Addr addr, std::uint64_t value)
+    {
+        const auto *src = reinterpret_cast<const std::uint8_t *>(&value);
+        for (Bytes b = 0; b < 8; ++b)
+            touchPage((addr + b) / kPageBytes)[(addr + b) % kPageBytes] =
+                src[b];
+    }
+
+    void
+    setResidencyLimit(std::size_t max_pages)
+    {
+        residencyLimit = max_pages;
+        if (residencyLimit)
+            evictToLimit();
+    }
+
+    void
+    pinRange(Addr addr, Bytes bytes)
+    {
+        if (bytes == 0)
+            return;
+        Addr first = addr / kPageBytes;
+        Addr last = (addr + bytes - 1) / kPageBytes;
+        pinnedRanges.emplace_back(first, last);
+        for (Addr page = first; page <= last; ++page) {
+            auto it = pages.find(page);
+            if (it != pages.end())
+                it->second.pinned = true;
+        }
+    }
+
+    std::size_t residentPages() const { return pages.size(); }
+    std::size_t peakResidentPages() const { return peakResident; }
+    std::uint64_t recycledPages() const { return recycled; }
+
+  private:
+    static constexpr Bytes kPageBytes = 4096;
+
+    struct Page
+    {
+        std::unique_ptr<std::uint8_t[]> data;
+        bool pinned = false;
+    };
+
+    bool
+    isPinned(Addr page_index) const
+    {
+        for (const auto &[first, last] : pinnedRanges)
+            if (page_index >= first && page_index <= last)
+                return true;
+        return false;
+    }
+
+    std::uint8_t *
+    touchPage(Addr page_index)
+    {
+        auto [it, inserted] = pages.try_emplace(page_index);
+        if (inserted) {
+            it->second.data = std::make_unique<std::uint8_t[]>(kPageBytes);
+            it->second.pinned = isPinned(page_index);
+            if (!it->second.pinned)
+                recycleQueue.push_back(page_index);
+            if (residencyLimit)
+                evictToLimit();
+            peakResident = std::max(peakResident, pages.size());
+            it = pages.find(page_index);
+        }
+        return it->second.data.get();
+    }
+
+    void
+    evictToLimit()
+    {
+        while (pages.size() > residencyLimit && !recycleQueue.empty()) {
+            Addr victim = recycleQueue.front();
+            recycleQueue.pop_front();
+            auto it = pages.find(victim);
+            if (it == pages.end() || it->second.pinned)
+                continue;
+            pages.erase(it);
+            ++recycled;
+        }
+    }
+
+    std::unordered_map<Addr, Page> pages;
+    std::deque<Addr> recycleQueue;
+    std::vector<std::pair<Addr, Addr>> pinnedRanges;
+    Bytes allocSkew;
+    Addr next = 0;
+    std::size_t residencyLimit = 0;
+    std::size_t peakResident = 0;
+    std::uint64_t recycled = 0;
+};
+
+class NodeRamFuzz : public testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(NodeRamFuzz, MatchesHashMapReference)
+{
+    ct::util::Rng rng(GetParam());
+    constexpr Bytes page = NodeRam::pageBytes();
+    // Not a whole number of pages: the last page is partly outside.
+    const Bytes capacity = (std::uint64_t{5} << 20) + 1000;
+    const Bytes skew = rng.nextBelow(2) ? 1056 : 0;
+    NodeRam ram(capacity, skew);
+    ReferenceNodeRam ref(skew);
+
+    // Addresses cluster on a few hot pages and their edges, so that
+    // words straddle pages and pages are revisited and recycled.
+    auto random_addr = [&](Bytes span) -> Addr {
+        Addr limit = capacity - span;
+        Addr addr;
+        switch (rng.nextBelow(4)) {
+          case 0:
+            addr = rng.nextBelow(limit + 1);
+            break;
+          case 1: // near a page edge
+            addr = (1 + rng.nextBelow(capacity / page - 1)) * page -
+                   rng.nextBelow(16);
+            break;
+          default: // the first 40 pages
+            addr = rng.nextBelow(40 * page);
+            break;
+        }
+        return std::min<Addr>(addr, limit);
+    };
+    auto check_counters = [&](int step) {
+        ASSERT_EQ(ram.residentPages(), ref.residentPages()) << step;
+        ASSERT_EQ(ram.peakResidentPages(), ref.peakResidentPages())
+            << step;
+        ASSERT_EQ(ram.recycledPages(), ref.recycledPages()) << step;
+    };
+
+    int pins = 0;
+    Bytes allocated = 0;
+    std::uint64_t stamp = GetParam() << 32;
+    for (int step = 0; step < 6000; ++step) {
+        std::uint64_t op = rng.nextBelow(100);
+        if (op < 30) {
+            Addr addr = random_addr(8);
+            ram.writeWord(addr, ++stamp);
+            ref.writeWord(addr, stamp);
+        } else if (op < 55) {
+            Addr addr = random_addr(8);
+            ASSERT_EQ(ram.readWord(addr), ref.readWord(addr))
+                << "step " << step << " addr " << addr;
+        } else if (op < 62) {
+            // Contiguous page-run fill, possibly misaligned.
+            std::uint64_t count = rng.nextBelow(1500);
+            Addr addr = random_addr(count * 8);
+            std::uint64_t base = ++stamp;
+            ram.fillWords(addr, count,
+                          [base](std::uint64_t i) { return base ^ i; });
+            for (std::uint64_t i = 0; i < count; ++i)
+                ref.writeWord(addr + i * 8, base ^ i);
+        } else if (op < 67) {
+            std::vector<std::uint64_t> words(rng.nextBelow(1200));
+            for (std::uint64_t &w : words)
+                w = ++stamp;
+            Addr addr = random_addr(words.size() * 8);
+            ram.writeWords(addr, words.data(), words.size());
+            for (std::size_t i = 0; i < words.size(); ++i)
+                ref.writeWord(addr + i * 8, words[i]);
+        } else if (op < 76) {
+            // Two word runs compared: exact mismatch counts.
+            std::uint64_t count = rng.nextBelow(1500);
+            Addr a = random_addr(count * 8);
+            Addr b = random_addr(count * 8);
+            std::uint64_t want = 0;
+            for (std::uint64_t i = 0; i < count; ++i)
+                want += ref.readWord(a + i * 8) != ref.readWord(b + i * 8);
+            ASSERT_EQ(countMismatchedWords(ram, a, ram, b, count), want)
+                << "step " << step;
+        } else if (op < 80) {
+            // A strided burst through a page window: reads only, as a
+            // reader's window must not span writes.
+            const PageReader reader(ram);
+            std::uint64_t stride = 8 * (1 + rng.nextBelow(40));
+            std::uint64_t count = 1 + rng.nextBelow(300);
+            Addr addr = random_addr(stride * count);
+            for (std::uint64_t i = 0; i < count; ++i)
+                ASSERT_EQ(reader.readWord(addr + i * stride),
+                          ref.readWord(addr + i * stride))
+                    << "step " << step;
+        } else if (op < 88) {
+            PageWriter writer(ram);
+            std::uint64_t stride = 8 * (1 + rng.nextBelow(40));
+            std::uint64_t count = 1 + rng.nextBelow(300);
+            Addr addr = random_addr(stride * count);
+            for (std::uint64_t i = 0; i < count; ++i) {
+                writer.writeWord(addr + i * stride, ++stamp);
+                ref.writeWord(addr + i * stride, stamp);
+            }
+        } else if (op < 92) {
+            Bytes bytes = rng.nextBelow(64 * 1024);
+            Bytes align = Bytes{1} << rng.nextBelow(13);
+            if (allocated + bytes + align + skew < capacity / 2) {
+                ASSERT_EQ(ram.alloc(bytes, align), ref.alloc(bytes, align));
+                allocated += bytes + align + skew;
+            }
+        } else if (op < 94) {
+            // Few and small pins, so any residency limit below still
+            // leaves room for the working page.
+            if (pins < 3) {
+                Bytes bytes = rng.nextBelow(page + 1);
+                Addr addr = random_addr(bytes);
+                ram.pinRange(addr, bytes);
+                ref.pinRange(addr, bytes);
+                ++pins;
+            }
+        } else if (op < 98) {
+            const std::size_t limits[] = {0, 0, 8, 9, 16, 64};
+            std::size_t limit = limits[rng.nextBelow(std::size(limits))];
+            ram.setResidencyLimit(limit);
+            ref.setResidencyLimit(limit);
+        } else {
+            ram.reset();
+            ref.reset();
+            pins = 0;
+            allocated = 0;
+        }
+        check_counters(step);
+    }
+    // Every word of the hot region reads back the same at the end.
+    for (Addr addr = 0; addr < 40 * page; addr += 8)
+        ASSERT_EQ(ram.readWord(addr), ref.readWord(addr)) << addr;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NodeRamFuzz,
                          testing::Range<std::uint64_t>(1, 25));
 
 } // namespace

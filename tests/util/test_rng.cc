@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -31,6 +32,56 @@ TEST(Rng, NextBelowStaysInRange)
     for (std::uint64_t bound : {1ULL, 2ULL, 3ULL, 17ULL, 1000ULL}) {
         for (int i = 0; i < 200; ++i)
             EXPECT_LT(rng.nextBelow(bound), bound);
+    }
+}
+
+/** nextBelow() as it was before the threshold skip: the threshold
+ *  division on every call, drawing through the public next(). */
+std::uint64_t
+referenceNextBelow(Rng &rng, std::uint64_t bound)
+{
+    std::uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+        std::uint64_t r = rng.next();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+TEST(Rng, NextBelowMatchesReferenceDraws)
+{
+    // Same values and same draws consumed: the streams stay in step
+    // across bounds that reject often (2^63 + 1) and never (1, 2).
+    const std::uint64_t bounds[] = {1ULL,
+                                    2ULL,
+                                    3ULL,
+                                    1ULL << 16,
+                                    (1ULL << 63) + 1,
+                                    ~0ULL};
+    for (std::uint64_t seed : {1995ULL, 2718ULL, 7ULL}) {
+        Rng fast(seed), ref(seed);
+        for (std::uint64_t bound : bounds) {
+            for (int i = 0; i < 2000; ++i)
+                ASSERT_EQ(fast.nextBelow(bound),
+                          referenceNextBelow(ref, bound))
+                    << "seed " << seed << " bound " << bound;
+            ASSERT_EQ(fast.next(), ref.next());
+        }
+    }
+}
+
+TEST(Rng, ShuffleMatchesReferenceFisherYates)
+{
+    for (std::uint64_t seed : {1995ULL, 2718ULL}) {
+        Rng fast(seed), ref(seed);
+        std::vector<std::uint64_t> a = fast.permutation(1000);
+        std::vector<std::uint64_t> b(1000);
+        for (std::uint64_t i = 0; i < b.size(); ++i)
+            b[i] = i;
+        for (std::size_t i = b.size(); i > 1; --i)
+            std::swap(b[i - 1], b[referenceNextBelow(ref, i)]);
+        EXPECT_EQ(a, b);
+        EXPECT_EQ(fast.next(), ref.next());
     }
 }
 
