@@ -2,7 +2,7 @@
  * @file
  * Extension bench (not a paper table): the machine model at
  * thousands of nodes. Guards the active-set scaling contract
- * (DESIGN.md §16): congestion analysis, planning and transport
+ * (DESIGN.md §15): congestion analysis, planning and transport
  * footprints grow with the *active* communication set, never with
  * machine capacity, so the analytic backend answers 8192-node
  * questions in microseconds while a bounded-footprint sim

@@ -30,8 +30,7 @@ struct Ctx
      * The operation's endpoints, slot-mapped. All per-node state
      * below is indexed by active slot, so an exchange between a
      * handful of nodes on an 8192-node machine allocates a handful
-     * of entries, not 8192. The set is immutable after construction
-     * (parallel windows read it concurrently).
+     * of entries, not 8192. The set is immutable after construction.
      */
     ActiveSet active;
 
@@ -45,18 +44,14 @@ struct Ctx
     std::vector<GroupRun> runs;
     /** Group indices each active node still has to send, in order. */
     std::vector<std::deque<std::size_t>> senderQueue;
-    /** Per-node flags are char, not vector<bool>: adjacent nodes may
-     *  flip their flags concurrently inside a parallel window, and
-     *  bit-packed storage would make that a data race. */
     std::vector<char> procBusy;
     /** Packets waiting for the receive co-processor, per node. */
     std::vector<std::deque<Packet>> coprocQueue;
     std::vector<Cycles> coprocFreeAt;
     std::vector<char> coprocBusy;
     std::vector<Cycles> fetchFreeAt;
-    /** Last deposit completion seen by each *sender* (credit events
-     *  run in the sender's partition); the makespan is the max. */
-    std::vector<Cycles> lastDoneByNode;
+    /** Last deposit completion of any chunk. */
+    Cycles lastDone = 0;
     bool refusalWarned = false;
     obs::Tracer *tracer;
 
@@ -66,8 +61,7 @@ struct Ctx
           senderQueue(active.count()), procBusy(active.count(), 0),
           coprocQueue(active.count()), coprocFreeAt(active.count(), 0),
           coprocBusy(active.count(), 0),
-          fetchFreeAt(active.count(), 0),
-          lastDoneByNode(active.count(), 0), tracer(machine.tracer())
+          fetchFreeAt(active.count(), 0), tracer(machine.tracer())
     {
         engineReceive = machine.config().node.deposit.anyPattern;
         if (opts.dmaFeed) {
@@ -237,8 +231,7 @@ Ctx::trySend(NodeId node)
 void
 Ctx::chunkDeposited(std::size_t group_idx, Cycles time)
 {
-    std::size_t src = active.slot(groups[group_idx].src);
-    lastDoneByNode[src] = std::max(lastDoneByNode[src], time);
+    lastDone = std::max(lastDone, time);
     ++runs[group_idx].credits;
     trySend(groups[group_idx].src);
 }
@@ -268,20 +261,12 @@ Ctx::tryReceive(NodeId node)
                      elapsed, "words", pkt.words.size());
 
     std::size_t group_idx = pkt.seq;
-    // The completion used to be one event doing sender work (the
-    // credit return) and receiver work (freeing the co-processor) in
-    // one callback; split so each side runs in its own partition.
-    // The credit event is scheduled first, preserving the original
-    // intra-callback order -- chunkDeposited() touches only sender
-    // state, so the serial timeline is unchanged by the split.
-    {
-        sim::EventQueue::PartitionScope scope(
-            machine.events(), groups[group_idx].src);
-        machine.events().schedule(
-            start + elapsed, [this, group_idx]() {
-                chunkDeposited(group_idx, machine.events().now());
-            });
-    }
+    // The credit return and the co-processor release stay separate
+    // events, in this order: merging them would change the event
+    // counts and seq stamps that reports and metrics expose.
+    machine.events().schedule(start + elapsed, [this, group_idx]() {
+        chunkDeposited(group_idx, machine.events().now());
+    });
     machine.events().schedule(start + elapsed, [this, node]() {
         coprocBusy[active.slot(node)] = false;
         tryReceive(node);
@@ -328,10 +313,6 @@ Ctx::deliver(Packet &&pkt, Cycles time)
                          traceTrack(node, TraceTrack::Deposit),
                          dep_start, done - dep_start, "words",
                          pkt.words.size());
-        // Credit return: sender-partition work, scheduled from the
-        // receiver's arrival event.
-        sim::EventQueue::PartitionScope scope(
-            machine.events(), groups[group_idx].src);
         machine.events().schedule(done, [this, group_idx]() {
             chunkDeposited(group_idx, machine.events().now());
         });
@@ -363,21 +344,15 @@ ChainedLayer::run(sim::Machine &machine, const CommOp &op)
     // all-nodes loop): trySend() is a no-op for a node with nothing
     // queued, so skipping idle nodes leaves the event schedule -- and
     // therefore every downstream byte -- unchanged.
-    for (NodeId node : ctx.active.nodeList()) {
-        // The kick-off runs outside any event; tag each node's
-        // initial sends with its own partition.
-        sim::EventQueue::PartitionScope scope(machine.events(), node);
+    for (NodeId node : ctx.active.nodeList())
         ctx.trySend(node);
-    }
     machine.events().run();
 
     // Settle write queues, then pay the end-of-step synchronization
     // (barrier + cache invalidation after background deposits). Only
     // the operation's endpoints touched memory, so only they can owe
     // a drain (an idle node's fence is zero).
-    Cycles makespan = 0;
-    for (Cycles done : ctx.lastDoneByNode)
-        makespan = std::max(makespan, done);
+    Cycles makespan = ctx.lastDone;
     Cycles extra = 0;
     for (NodeId node : ctx.active.nodeList())
         extra = std::max(extra,
@@ -395,22 +370,6 @@ ChainedLayer::run(sim::Machine &machine, const CommOp &op)
     result.payloadBytes = op.totalBytes();
     result.maxBytesPerSender = op.maxBytesPerSender();
     return result;
-}
-
-sim::Cycles
-ChainedLayer::parallelLookahead(const sim::Machine &machine,
-                                const CommOp &op) const
-{
-    (void)op;
-    // The layer's fastest cross-node interaction beyond the wire is
-    // the credit return, and a deposited chunk never returns its
-    // credit sooner than the deposit engine's fixed per-packet cost
-    // after arrival (the co-processor path's scatter is far slower
-    // than that floor; the engine's commit check would catch an
-    // overclaim loudly).
-    sim::Cycles per_packet =
-        machine.config().node.deposit.perPacketCycles;
-    return per_packet > 0 ? per_packet : 1;
 }
 
 } // namespace ct::rt

@@ -60,13 +60,6 @@ class ChainedLayer : public MessageLayer
 
     RunResult run(sim::Machine &machine, const CommOp &op) override;
 
-    /** Every event is partition-tagged; credit returns are scoped
-     *  cross-partition events and packet sends defer to commit. */
-    bool parallelSafe() const override { return true; }
-
-    sim::Cycles parallelLookahead(const sim::Machine &machine,
-                                  const CommOp &op) const override;
-
     const ChainedOptions &options() const { return opts; }
 
   private:

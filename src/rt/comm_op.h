@@ -153,8 +153,7 @@ std::vector<FlowGroup> groupFlows(const CommOp &op);
  * The nodes a communication operation actually touches, each mapped
  * to a dense slot so layers can size per-node state O(active
  * endpoints) instead of O(machine capacity). Built once when a run
- * starts and immutable afterwards, so parallel event windows may read
- * it concurrently without synchronization.
+ * starts and immutable afterwards.
  */
 class ActiveSet
 {

@@ -74,33 +74,13 @@ class MessageLayer
      */
     virtual RunResult run(sim::Machine &machine, const CommOp &op) = 0;
 
-    /**
-     * True when the layer's event structure may run under the
-     * conservative parallel engine (sim::ParallelEngine): every
-     * event is partition-tagged, cross-partition effects go through
-     * the network or are explicitly scoped, and no cancellable
-     * timers are armed. Default is the safe answer; the driver
-     * (SimBackend, tools) calls machine.setParallelEnabled() with
-     * this before running.
-     */
-    virtual bool parallelSafe() const { return false; }
+    /** Benchmark-harness-only stub (false), removed with its next revision. */
+    bool parallelSafe() const { return false; }
 
-    /**
-     * The layer's minimum cross-partition delay in cycles: no event
-     * executing on one node ever schedules an event on another node
-     * fewer than this many cycles ahead. Used as the parallel
-     * engine's window lookahead (clamped to the network's own wire
-     * floor); only meaningful when parallelSafe(). 1 is always
-     * correct -- the engine then only parallelizes same-timestamp
-     * events -- and any overdeclaration is caught fatally by the
-     * engine's commit-time check.
-     */
-    virtual sim::Cycles
-    parallelLookahead(const sim::Machine &machine,
-                      const CommOp &op) const
+    /** Benchmark-harness-only stub (1), removed with its next revision. */
+    sim::Cycles parallelLookahead(const sim::Machine &,
+                                  const CommOp &) const
     {
-        (void)machine;
-        (void)op;
         return 1;
     }
 };

@@ -54,13 +54,10 @@ struct Ctx
     std::vector<GroupRun> runs;
     std::vector<std::deque<std::size_t>> senderQueue;
     std::vector<std::deque<UnpackTask>> unpackQueue;
-    /** char, not vector<bool>: adjacent nodes flip their flags
-     *  concurrently inside a parallel window, and bit-packed storage
-     *  would make that a data race. */
     std::vector<char> procBusy;
     std::vector<Cycles> fetchFreeAt;
-    /** Last unpack completion per *receiver*; makespan is the max. */
-    std::vector<Cycles> lastDoneByNode;
+    /** Last unpack completion of any chunk. */
+    Cycles lastDone = 0;
     obs::Tracer *tracer;
 
     Ctx(Machine &machine, const CommOp &op, const PackingOptions &opts)
@@ -68,7 +65,7 @@ struct Ctx
           groups(groupFlows(op)), active(groups), runs(groups.size()),
           senderQueue(active.count()), unpackQueue(active.count()),
           procBusy(active.count(), 0), fetchFreeAt(active.count(), 0),
-          lastDoneByNode(active.count(), 0), tracer(machine.tracer())
+          tracer(machine.tracer())
     {
         Bytes ring = static_cast<Bytes>(layerCredits) * chunkBytes;
         for (std::size_t g = 0; g < groups.size(); ++g) {
@@ -299,28 +296,18 @@ Ctx::runUnpack(NodeId node, const UnpackTask &task)
                      traceTrack(node, TraceTrack::Cpu), now, elapsed,
                      "words", task.count);
     std::size_t group_idx = task.group;
-    // Completion used to be one event doing receiver work (free the
-    // processor, continue unpacking) and sender work (the credit
-    // return); split so each side runs in its own partition. The
-    // receiver event keeps the original leading order; the credit
-    // event carries the trailing ++credits / tryProc(src) pair,
-    // which touches no receiver state, so the serial timeline is
-    // unchanged by the split.
+    // The receiver's release and the sender's credit return stay
+    // separate events, in this order: merging them would change the
+    // event counts and seq stamps that reports and metrics expose.
     machine.events().scheduleAfter(elapsed, [this, node]() {
-        std::size_t idx = active.slot(node);
-        procBusy[idx] = false;
-        lastDoneByNode[idx] =
-            std::max(lastDoneByNode[idx], machine.events().now());
+        procBusy[active.slot(node)] = false;
+        lastDone = std::max(lastDone, machine.events().now());
         tryProc(node);
     });
-    {
-        sim::EventQueue::PartitionScope scope(
-            machine.events(), groups[group_idx].src);
-        machine.events().scheduleAfter(elapsed, [this, group_idx]() {
-            ++runs[group_idx].credits;
-            tryProc(groups[group_idx].src);
-        });
-    }
+    machine.events().scheduleAfter(elapsed, [this, group_idx]() {
+        ++runs[group_idx].credits;
+        tryProc(groups[group_idx].src);
+    });
 }
 
 void
@@ -363,17 +350,11 @@ PackingLayer::run(sim::Machine &machine, const CommOp &op)
     // Kick off the active endpoints only (ascending, like the old
     // all-nodes loop): tryProc() is a no-op for a node with nothing
     // queued, so the event schedule is unchanged.
-    for (NodeId node : ctx.active.nodeList()) {
-        // The kick-off runs outside any event; tag each node's
-        // initial sends with its own partition.
-        sim::EventQueue::PartitionScope scope(machine.events(), node);
+    for (NodeId node : ctx.active.nodeList())
         ctx.tryProc(node);
-    }
     machine.events().run();
 
-    Cycles makespan = 0;
-    for (Cycles done : ctx.lastDoneByNode)
-        makespan = std::max(makespan, done);
+    Cycles makespan = ctx.lastDone;
     Cycles extra = 0;
     for (NodeId node : ctx.active.nodeList())
         extra = std::max(extra,

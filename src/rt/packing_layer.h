@@ -46,11 +46,6 @@ class PackingLayer : public MessageLayer
 
     RunResult run(sim::Machine &machine, const CommOp &op) override;
 
-    /** Partition-tagged like chained; keeps the base lookahead of 1
-     *  (credit returns ride on unpack completions with no fixed
-     *  delay floor), so only same-timestamp events parallelize. */
-    bool parallelSafe() const override { return true; }
-
     const PackingOptions &options() const { return opts; }
 
   private:

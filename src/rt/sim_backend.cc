@@ -64,8 +64,6 @@ SimBackend::run(const core::TransferProgram &program, CommOp op,
     if (eventBudget > 0)
         machine.events().setEventBudget(eventBudget);
     std::unique_ptr<MessageLayer> layer = lowerProgram(program);
-    machine.setParallelEnabled(layer->parallelSafe());
-    machine.setParallelLookahead(layer->parallelLookahead(machine, op));
     SimRun out;
     out.layerName = layer->name();
     out.result = layer->run(machine, op);

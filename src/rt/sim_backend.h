@@ -96,17 +96,6 @@ class SimBackend
     void setEventBudget(std::uint64_t budget) { eventBudget = budget; }
     std::uint64_t eventBudgetCap() const { return eventBudget; }
 
-    /**
-     * Worker threads for the conservative parallel engine. 0 or 1
-     * keeps the serial event loop with zero overhead; N > 1 runs
-     * partitioned windows that commit in serial order, so reports
-     * and metrics stay byte-identical to the serial run. Layers that
-     * are not parallel-safe (e.g. the reliable transport) and
-     * budget-capped runs fall back to serial automatically.
-     */
-    void setThreads(int n) { cfg.threads = n; }
-    int threads() const { return cfg.threads; }
-
   private:
     SimRun run(const core::TransferProgram &program, CommOp op,
                sim::Machine &machine);

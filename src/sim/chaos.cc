@@ -1,7 +1,6 @@
 #include "chaos.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <climits>
 #include <cstdlib>
 #include <sstream>
@@ -51,12 +50,7 @@ bool
 parseCountField(const std::string &token, std::uint64_t &out,
                 std::string *error)
 {
-    // strtoull silently wraps negatives and saturates overflows;
-    // accept only a plain digit string that fits.
-    bool digits = util::isAllDigits(token);
-    errno = 0;
-    out = digits ? std::strtoull(token.c_str(), nullptr, 10) : 0;
-    if (!digits || errno == ERANGE) {
+    if (!util::parseDecimal(token, 0, UINT64_MAX, out)) {
         if (error)
             *error = "bad count '" + token + "'";
         return false;

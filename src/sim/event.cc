@@ -1,19 +1,13 @@
 #include "event.h"
 
-#include "sim/parallel.h"
 #include "util/logging.h"
 
 namespace ct::sim {
 
-thread_local EventQueue::WindowCtx *EventQueue::tlWindow = nullptr;
-
 EventQueue::~EventQueue()
 {
     // Destroy the callbacks of events that never fired. The nodes
-    // themselves are slab storage and die with `slabs` (or, for
-    // nodes adopted from a parallel window, with the engine's worker
-    // contexts -- which is why sim::Machine destroys the queue
-    // before the engine).
+    // themselves are slab storage and die with `slabs`.
     std::vector<EventNode *> stack;
     if (root)
         stack.push_back(root);
@@ -32,56 +26,15 @@ EventQueue::~EventQueue()
 void
 EventQueue::checkSchedule(Cycles when) const
 {
-    Cycles ref = now();
-    if (when < ref)
+    if (when < currentTime)
         util::fatal("EventQueue::schedule: time ", when,
-                    " is in the past (now ", ref, ")");
-    if (replayEngine)
-        replayEngine->checkCommitTime(when, activePartition);
+                    " is in the past (now ", currentTime, ")");
 }
 
 void
 EventQueue::nullCallback()
 {
     util::fatal("EventQueue::schedule: null callback");
-}
-
-void
-EventQueue::cancellableInWindow()
-{
-    util::fatal("EventQueue::scheduleCancellable: cancellable timers "
-                "cannot be armed from inside a parallel window; a "
-                "layer that needs them must report parallelSafe() == "
-                "false so the run stays serial");
-}
-
-Cycles
-EventQueue::windowNow() const
-{
-    const WindowCtx *win = windowCtx();
-    return win ? win->time : currentTime;
-}
-
-std::int32_t
-EventQueue::scopePartition() const
-{
-    if (windowOpen) {
-        if (const WindowCtx *win = windowCtx())
-            return win->scopePart;
-    }
-    return activePartition;
-}
-
-void
-EventQueue::setScopePartition(std::int32_t part)
-{
-    if (windowOpen) {
-        if (WindowCtx *win = windowCtx()) {
-            win->scopePart = part;
-            return;
-        }
-    }
-    activePartition = part;
 }
 
 EventQueue::EventNode *
@@ -145,35 +98,6 @@ EventQueue::acquire(Cycles when)
     node->child = nullptr;
     node->sibling = nullptr;
     node->cancelled = false;
-    node->part = activePartition;
-    return node;
-}
-
-EventQueue::EventNode *
-EventQueue::windowAcquire(WindowCtx &win, Cycles when)
-{
-    EventNode *node = nullptr;
-    // Shared prefill of recycled nodes first (lock-free index bump),
-    // then worker-private slabs; seq is stamped at commit, never
-    // here -- nextSeq is the queue's serial-order source of truth.
-    std::size_t idx =
-        win.reserveNext->fetch_add(1, std::memory_order_relaxed);
-    if (idx < win.reserve->size()) {
-        node = (*win.reserve)[idx];
-    } else {
-        if (win.slabUsed == kSlabEvents) {
-            win.slabs.push_back(
-                std::make_unique<EventNode[]>(kSlabEvents));
-            win.slabUsed = 0;
-        }
-        node = &win.slabs.back()[win.slabUsed++];
-    }
-    node->when = when;
-    node->seq = 0;
-    node->child = nullptr;
-    node->sibling = nullptr;
-    node->cancelled = false;
-    node->part = win.scopePart;
     return node;
 }
 
@@ -212,65 +136,9 @@ EventQueue::release(EventNode *node)
     ++freeCount;
 }
 
-void
-EventQueue::recycleRaw(EventNode *node)
-{
-    node->invoke = nullptr;
-    node->destroy = nullptr;
-    node->sibling = freeList;
-    freeList = node;
-    ++freeCount;
-}
-
-void
-EventQueue::drainFreeList(std::vector<EventNode *> &out)
-{
-    while (freeList) {
-        EventNode *node = freeList;
-        freeList = node->sibling;
-        node->sibling = nullptr;
-        out.push_back(node);
-    }
-    freeCount = 0;
-}
-
-std::uint64_t
-EventQueue::runSerialBatch(Cycles horizon)
-{
-    std::uint64_t executed = 0;
-    while (root && root->when <= horizon) {
-        EventNode *node = popMin();
-        if (node->cancelled) {
-            release(node);
-            continue;
-        }
-        currentTime = node->when;
-        std::int32_t prev = activePartition;
-        activePartition = node->part;
-        node->invoke(*node);
-        activePartition = prev;
-        release(node);
-        ++executed;
-        ++executedTotal;
-    }
-    return executed;
-}
-
-std::uint64_t
-EventQueue::runParallel()
-{
-    return runner->runAll();
-}
-
 std::uint64_t
 EventQueue::run(std::uint64_t max_events)
 {
-    // Capped or budgeted runs keep the serial path: the parallel
-    // engine commits whole windows, which cannot honor a stop-after-
-    // exactly-N contract, and truncated-fidelity degradation depends
-    // on that contract.
-    if (runner && max_events == UINT64_MAX && eventBudget == UINT64_MAX)
-        return runParallel();
     std::uint64_t executed = 0;
     while (root && executed < max_events &&
            executedTotal < eventBudget) {
@@ -285,12 +153,8 @@ EventQueue::run(std::uint64_t max_events)
         currentTime = node->when;
         // The node stays off both the heap and the free list while
         // its callback runs, so events it schedules can never reuse
-        // the storage under it. Spawns inherit the event's partition
-        // tag unless a PartitionScope overrides it.
-        std::int32_t prev = activePartition;
-        activePartition = node->part;
+        // the storage under it.
         node->invoke(*node);
-        activePartition = prev;
         release(node);
         ++executed;
         ++executedTotal;

@@ -11,25 +11,13 @@
  * they fit. A steady-state run therefore performs no per-event heap
  * allocation: memory is bounded by the *peak* number of pending
  * events, never by how many events fire over the whole run.
- *
- * Partitioned execution: every event carries a partition tag (the
- * destination node of the state it touches, or kNoPartition). The
- * tag is inherited from the event that scheduled it unless a
- * PartitionScope overrides it, so a correctly scoped layer labels
- * its whole event stream with no per-call-site changes. The serial
- * engine ignores the tags; sim::ParallelEngine uses them to execute
- * conservative lookahead windows on sweep::Farm workers while
- * committing results in exact serial (time, seq) order -- see
- * sim/parallel.h for the contract.
  */
 
 #ifndef CT_SIM_EVENT_H
 #define CT_SIM_EVENT_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -40,31 +28,20 @@
 
 namespace ct::sim {
 
-class ParallelEngine;
-
-/** Deterministic event queue driving the simulation clock. */
+/**
+ * Deterministic event queue driving the simulation clock. Any
+ * `void()` callable can be scheduled.
+ */
 class EventQueue
 {
   public:
-    /** Legacy callback alias; any `void()` callable is accepted. */
-    using Callback = std::function<void()>;
-
-    /** Tag for events not confined to any single partition. */
-    static constexpr std::int32_t kNoPartition = -1;
-
     EventQueue() = default;
     ~EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    /** Current simulation time (the executing event's timestamp when
-     *  called from inside a parallel window). */
-    Cycles now() const
-    {
-        if (windowOpen)
-            return windowNow();
-        return currentTime;
-    }
+    /** Current simulation time. */
+    Cycles now() const { return currentTime; }
 
     /** Schedule @p fn to run at absolute time @p when (>= now). */
     template <typename F>
@@ -78,17 +55,6 @@ class EventQueue
         if constexpr (std::is_constructible_v<bool, const decayed<F> &>) {
             if (!static_cast<bool>(fn))
                 nullCallback();
-        }
-        if (windowOpen) {
-            if (WindowCtx *win = windowCtx()) {
-                // Worker context: buffer the spawn in program order;
-                // the engine adopts the node into the heap (stamping
-                // its seq) when the window commits.
-                EventNode *node = windowAcquire(*win, when);
-                emplaceCallback(*node, std::forward<F>(fn));
-                win->effects.push_back({node, false});
-                return;
-            }
         }
         EventNode *node = acquire(when);
         emplaceCallback(*node, std::forward<F>(fn));
@@ -143,8 +109,6 @@ class EventQueue
     Timer
     scheduleCancellable(Cycles when, F &&fn)
     {
-        if (windowOpen && windowCtx())
-            cancellableInWindow();
         checkSchedule(when);
         if constexpr (std::is_constructible_v<bool, const decayed<F> &>) {
             if (!static_cast<bool>(fn))
@@ -163,61 +127,6 @@ class EventQueue
     {
         return scheduleCancellable(now() + delay,
                                    std::forward<F>(fn));
-    }
-
-    /**
-     * Sets the partition tag inherited by events scheduled while the
-     * scope is alive. Layers use it at the call sites where an event
-     * belongs to a *different* node than the one whose event is
-     * executing (cross-node credit returns, packet arrivals); inside
-     * an event callback the tag otherwise defaults to the executing
-     * event's own partition.
-     */
-    class PartitionScope
-    {
-      public:
-        PartitionScope(EventQueue &queue, std::int32_t part)
-            : q(queue), saved(queue.scopePartition())
-        {
-            q.setScopePartition(part);
-        }
-        ~PartitionScope() { q.setScopePartition(saved); }
-        PartitionScope(const PartitionScope &) = delete;
-        PartitionScope &operator=(const PartitionScope &) = delete;
-
-      private:
-        EventQueue &q;
-        std::int32_t saved;
-    };
-
-    /**
-     * True when the calling thread is executing an event inside a
-     * parallel window of *this* queue. Code with order-sensitive
-     * shared state (the network's link reservations) checks this and
-     * defers the mutation to commit time via deferToCommit().
-     */
-    bool inWindow() const { return windowOpen && windowCtx() != nullptr; }
-
-    /**
-     * Buffer @p fn to run serially, at the executing event's
-     * timestamp, when the current window commits -- in the exact
-     * (time, seq) slot the executing event occupies, interleaved in
-     * program order with the event's schedule() calls. Outside a
-     * window @p fn runs immediately.
-     */
-    template <typename F>
-    void
-    deferToCommit(F &&fn)
-    {
-        if (windowOpen) {
-            if (WindowCtx *win = windowCtx()) {
-                EventNode *node = windowAcquire(*win, win->time);
-                emplaceCallback(*node, std::forward<F>(fn));
-                win->effects.push_back({node, true});
-                return;
-            }
-        }
-        fn();
     }
 
     /** Number of pending events. */
@@ -270,26 +179,7 @@ class EventQueue
         return executedTotal >= eventBudget;
     }
 
-    /**
-     * Attach (or detach, with null) a conservative parallel runner.
-     * While attached, run() calls with no event cap and no event
-     * budget delegate to the runner; capped or budgeted runs always
-     * take the serial path so truncated-fidelity slicing keeps its
-     * exact semantics. The runner must outlive every event it ever
-     * committed into the queue (sim::Machine declares the engine
-     * before the queue for exactly this reason).
-     */
-    void setRunner(ParallelEngine *engine) { runner = engine; }
-
-    /** The attached parallel runner, if any. */
-    ParallelEngine *parallelRunner() const { return runner; }
-
     // Pool introspection (tests and memory-regression gates).
-    //
-    // Under the parallel engine these counts include nodes loaned to
-    // the engine's recycling reserve, so they can differ from a
-    // serial run's; nothing report- or baseline-visible derives from
-    // them.
 
     /** Slabs allocated so far; stays flat once the peak is reached. */
     std::size_t poolSlabs() const { return slabs.size(); }
@@ -307,8 +197,6 @@ class EventQueue
     }
 
   private:
-    friend class ParallelEngine;
-
     template <typename F>
     using decayed = std::decay_t<F>;
 
@@ -330,47 +218,11 @@ class EventQueue
         /** Tombstone: discarded at its slot without running and
          *  without advancing the clock (see Timer). */
         bool cancelled = false;
-        /** Partition confinement tag (kNoPartition = unconfined). */
-        std::int32_t part = -1;
         void (*invoke)(EventNode &) = nullptr;
         /** Null for trivially destructible callbacks. */
         void (*destroy)(EventNode &) = nullptr;
         alignas(std::max_align_t)
             unsigned char storage[kInlineCallbackBytes];
-    };
-
-    /** One buffered side effect of a window-executed event. */
-    struct Effect
-    {
-        EventNode *node;
-        /** False: spawn (adopt @c node into the heap at commit).
-         *  True: deferred call (invoke serially at commit, then
-         *  recycle @c node without a seq stamp -- the serial engine
-         *  never allocated it). */
-        bool defer;
-    };
-
-    /**
-     * Per-worker execution context for one parallel window. Spawned
-     * nodes are drawn first from the engine's shared reserve of
-     * recycled nodes (claimed by a lock-free index bump), then from
-     * worker-private slabs; adopted nodes later recycle through the
-     * queue's own free list, so steady-state memory stays bounded.
-     * Owned by the engine: its slabs must outlive the queue's heap.
-     */
-    struct WindowCtx
-    {
-        EventQueue *queue = nullptr;
-        /** Executing event's timestamp (the worker-visible now()). */
-        Cycles time = 0;
-        /** Tag for spawns; PartitionScope swaps it in-window. */
-        std::int32_t scopePart = -1;
-        /** Program-order effect log, spans recorded per seed. */
-        std::vector<Effect> effects;
-        std::vector<EventNode *> *reserve = nullptr;
-        std::atomic<std::size_t> *reserveNext = nullptr;
-        std::vector<std::unique_ptr<EventNode[]>> slabs;
-        std::size_t slabUsed = kSlabEvents;
     };
 
     template <typename D>
@@ -431,7 +283,6 @@ class EventQueue
     /** fatal() helpers kept out of the header's template bodies. */
     void checkSchedule(Cycles when) const;
     [[noreturn]] static void nullCallback();
-    [[noreturn]] static void cancellableInWindow();
 
     /** Take a node from the free list / slab, stamped (when, seq). */
     EventNode *acquire(Cycles when);
@@ -441,33 +292,6 @@ class EventQueue
     EventNode *popMin();
     /** Destroy the node's callback and recycle it. */
     void release(EventNode *node);
-    /** Recycle a node with *no* seq re-stamp (deferred-call nodes
-     *  the serial engine never allocated must not advance nextSeq). */
-    void recycleRaw(EventNode *node);
-    /** Move every free-list node into @p out (engine recycling). */
-    void drainFreeList(std::vector<EventNode *> &out);
-
-    /** This thread's window context when it belongs to this queue. */
-    WindowCtx *windowCtx() const
-    {
-        WindowCtx *win = tlWindow;
-        return (win && win->queue == this) ? win : nullptr;
-    }
-    Cycles windowNow() const;
-    EventNode *windowAcquire(WindowCtx &win, Cycles when);
-
-    std::int32_t scopePartition() const;
-    void setScopePartition(std::int32_t part);
-
-    /** Serial in-place execution of everything at time <= horizon
-     *  (inclusive), including events those events schedule. */
-    std::uint64_t runSerialBatch(Cycles horizon);
-    /** Out-of-line runner trampoline (defined in parallel.cc). */
-    std::uint64_t runParallel();
-
-    /** Set on the executing worker thread for window dispatch. */
-    static thread_local WindowCtx *tlWindow;
-
     EventNode *root = nullptr;
     EventNode *freeList = nullptr;
     std::vector<std::unique_ptr<EventNode[]>> slabs;
@@ -481,15 +305,6 @@ class EventQueue
     std::uint64_t executedTotal = 0;
     Cycles currentTime = 0;
     std::uint64_t nextSeq = 0;
-    /** Tag stamped onto acquired events (serial path / replay). */
-    std::int32_t activePartition = kNoPartition;
-    /** True while farm workers are executing a window. */
-    bool windowOpen = false;
-    /** Non-null while a window commit is replaying: checkSchedule
-     *  additionally validates times against the window's committed
-     *  per-partition floors (the lookahead contract's backstop). */
-    const ParallelEngine *replayEngine = nullptr;
-    ParallelEngine *runner = nullptr;
 };
 
 inline bool

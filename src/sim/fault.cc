@@ -1,7 +1,6 @@
 #include "fault.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <sstream>
@@ -52,12 +51,7 @@ bool
 parseCount(const std::string &key, const std::string &value,
            std::uint64_t &out, std::string *error)
 {
-    // strtoull silently wraps negatives ("-1" becomes a huge count)
-    // and saturates overflows; accept plain digit strings that fit.
-    bool digits = util::isAllDigits(value);
-    errno = 0;
-    out = digits ? std::strtoull(value.c_str(), nullptr, 10) : 0;
-    if (!digits || errno == ERANGE) {
+    if (!util::parseDecimal(value, 0, UINT64_MAX, out)) {
         if (error)
             *error = "bad value '" + value + "' for " + key;
         return false;

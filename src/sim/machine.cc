@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sweep/farm.h"
 #include "util/logging.h"
 
 namespace ct::sim {
@@ -47,10 +46,6 @@ validateMachineConfig(const MachineConfig &config)
                     "': processor loopCyclesPerElem must be "
                     "non-negative and finite, got ",
                     config.node.processor.loopCyclesPerElem);
-    if (config.threads < 0 || config.threads > sweep::kMaxThreads)
-        util::fatal("MachineConfig '", config.name,
-                    "': threads must be in [0, ", sweep::kMaxThreads,
-                    "], got ", config.threads);
 }
 
 Machine::Machine(const MachineConfig &config)
@@ -80,58 +75,12 @@ Machine::Machine(const MachineConfig &config)
         nodes.back()->depositEngine().setFaults(injector.get());
         nodes.back()->fetchEngine().setFaults(injector.get());
     }
-    // Conservative lookahead floor from the wire model: even a
-    // zero-payload packet serializes its header and crosses at least
-    // one router hop, so no cross-node interaction is faster than
-    // this. Layers may pass a larger true delay via
-    // setParallelLookahead(); it is clamped to this ceiling.
-    netLookahead = static_cast<Cycles>(std::ceil(
-                       static_cast<double>(cfg.network.headerBytes) /
-                       cfg.network.wireBytesPerCycle)) +
-                   cfg.network.hopLatencyCycles;
-    if (netLookahead < 1)
-        netLookahead = 1;
-    // Faulted/chaos machines stay serial: fault rolls consume a
-    // shared RNG stream in event order, which a parallel window
-    // cannot reproduce without serializing anyway.
-    if (cfg.threads > 1 && !injector && topo.nodeCount() > 1) {
-        ParallelOptions popts;
-        popts.threads = cfg.threads;
-        popts.lookahead = 1;
-        engine = std::make_unique<ParallelEngine>(queue, popts);
-    }
-    wireRunner();
-}
-
-void
-Machine::wireRunner()
-{
-    bool enabled = engine && parallelAllowed && !tracerPtr;
-    queue.setRunner(enabled ? engine.get() : nullptr);
-}
-
-void
-Machine::setParallelEnabled(bool enabled)
-{
-    parallelAllowed = enabled;
-    wireRunner();
-}
-
-void
-Machine::setParallelLookahead(Cycles hint)
-{
-    if (engine)
-        engine->setLookahead(hint, netLookahead);
 }
 
 void
 Machine::setTracer(obs::Tracer *t)
 {
     tracerPtr = t;
-    // Trace emission is keyed to callback execution order, which a
-    // window executes out of order; tracing forces the serial path
-    // (and detaching the tracer restores the engine).
-    wireRunner();
     net.setTracer(t);
     if (!t)
         return;

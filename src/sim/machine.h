@@ -23,7 +23,6 @@
 #include "sim/fault.h"
 #include "sim/network.h"
 #include "sim/node.h"
-#include "sim/parallel.h"
 #include "sim/trace_tracks.h"
 
 namespace ct::sim {
@@ -43,15 +42,6 @@ struct MachineConfig
      *  Rate phases add to the spec's static rates; cascades and
      *  flaps become topology outages at machine construction. */
     ChaosSchedule chaos;
-    /**
-     * Worker threads for conservative parallel execution of this
-     * machine's event timeline (sim::ParallelEngine). 0 or 1 keeps
-     * today's serial engine with zero overhead; results are
-     * byte-identical at every value. Machines with faults or chaos
-     * always run serially: fault rolls consume a shared deterministic
-     * RNG stream whose draw order *is* the event order.
-     */
-    int threads = 0;
 };
 
 /**
@@ -103,39 +93,15 @@ class Machine
     /** Payload throughput of @p bytes moved in @p cycles. */
     util::MBps toMBps(Bytes bytes, Cycles cycles) const;
 
-    /**
-     * Gate the parallel engine on or off for subsequent runs (no-op
-     * when the machine has none). Layers that are not parallel-safe
-     * (rt::ReliableLayer's cancellable timers) disable it before
-     * driving the queue; tracing disables it implicitly because
-     * trace emission is keyed to callback execution order.
-     */
-    void setParallelEnabled(bool enabled);
+    /** Benchmark-harness-only no-op, removed with its next revision. */
+    void setParallelEnabled(bool) {}
 
-    /**
-     * Tighten the engine's window span to a layer's declared minimum
-     * cross-partition delay, clamped to [1, network lookahead].
-     */
-    void setParallelLookahead(Cycles hint);
-
-    /** The engine, or nullptr when cfg.threads <= 1 / faults. */
-    const ParallelEngine *parallelEngine() const
-    {
-        return engine.get();
-    }
-
-    /** Conservative lookahead floor from the wire model: no packet
-     *  crosses nodes faster than header serialization + one hop. */
-    Cycles networkLookahead() const { return netLookahead; }
+    /** Benchmark-harness-only no-op, removed with its next revision. */
+    void setParallelLookahead(Cycles) {}
 
   private:
-    void wireRunner();
-
     MachineConfig cfg;
     Topology topo;
-    /** Declared before the queue: window-spawned event nodes live in
-     *  engine-owned slabs, so the queue's heap must die first. */
-    std::unique_ptr<ParallelEngine> engine;
     EventQueue queue;
     /** Declared before the components that register metrics in it. */
     obs::MetricsRegistry metricsReg;
@@ -143,8 +109,6 @@ class Machine
     std::unique_ptr<FaultInjector> injector;
     Network net;
     std::vector<std::unique_ptr<Node>> nodes;
-    Cycles netLookahead = 1;
-    bool parallelAllowed = true;
 };
 
 /** Node configuration calibrated to the Cray T3D (§3.5.1). */

@@ -104,18 +104,6 @@ Network::send(Packet &&packet)
     if (packet.framing == Framing::AddrDataPair &&
         packet.addrs.size() != packet.words.size())
         util::fatal("Network::send: adp packet without addresses");
-
-    // Inside a parallel window the link ledger (linkFreeAt) must not
-    // be touched: reservations are made in event-time order and that
-    // order only exists at commit. Buffer the whole send; it re-runs
-    // here serially, at this event's exact (time, seq) slot.
-    if (events.inWindow()) {
-        events.deferToCommit([this, p = std::move(packet)]() mutable {
-            send(std::move(p));
-        });
-        return;
-    }
-
     if (sendTap && !sendTap(packet))
         return;
     transmit(std::move(packet));
@@ -126,12 +114,6 @@ Network::sendRaw(Packet &&packet)
 {
     if (!deliverFn)
         util::fatal("Network::sendRaw: no delivery sink installed");
-    if (events.inWindow()) {
-        events.deferToCommit([this, p = std::move(packet)]() mutable {
-            sendRaw(std::move(p));
-        });
-        return;
-    }
     transmit(std::move(packet));
 }
 
@@ -209,9 +191,7 @@ Network::transmit(Packet &&packet)
             m.deadNodePackets.inc();
             return;
         }
-        Packet p = std::move(packet);
-        EventQueue::PartitionScope scope(events, p.dst);
-        events.scheduleAfter(0, [this, p = std::move(p)]() mutable {
+        events.scheduleAfter(0, [this, p = std::move(packet)]() mutable {
             arrive(std::move(p), events.now());
         });
         return;
@@ -316,10 +296,7 @@ Network::reserveAndSchedule(std::vector<LinkId> route,
                             Packet &&packet, Cycles extra_delay)
 {
     Cycles arrival = reserveRoute(route, packet) + extra_delay;
-    Packet p = std::move(packet);
-    // The arrival event mutates the destination node's state.
-    EventQueue::PartitionScope scope(events, p.dst);
-    events.schedule(arrival, [this, p = std::move(p)]() mutable {
+    events.schedule(arrival, [this, p = std::move(packet)]() mutable {
         arrive(std::move(p), events.now());
     });
 }

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace ct::svc {
 
@@ -68,19 +69,6 @@ splitFields(const std::string &item, std::vector<std::string> &out)
             return false;
         start = colon + 1;
     }
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (*end != '\0')
-        return false;
-    out = v;
-    return true;
 }
 
 bool
@@ -165,7 +153,8 @@ SvcChaos::tryParse(const std::string &spec, std::string *error)
                         "'");
         const std::string &verb = f[0];
         if (verb == "seed") {
-            if (f.size() != 2 || !parseU64(f[1], chaos.seed))
+            if (f.size() != 2 ||
+                !util::parseDecimal(f[1], 0, UINT64_MAX, chaos.seed))
                 return fail("bad seed item '" + item +
                             "' (expected seed:N)");
             if (seed_seen)
@@ -174,7 +163,7 @@ SvcChaos::tryParse(const std::string &spec, std::string *error)
         } else if (verb == "stall") {
             std::uint64_t ms = 0;
             if (f.size() != 3 || !parseRate(f[1], chaos.stallRate) ||
-                !parseU64(f[2], ms) || ms > 60000)
+                !util::parseDecimal(f[2], 0, 60000, ms))
                 return fail("bad stall item '" + item +
                             "' (expected stall:RATE:MS, rate in "
                             "[0,1], ms <= 60000)");
@@ -191,8 +180,9 @@ SvcChaos::tryParse(const std::string &spec, std::string *error)
             flip_seen = true;
         } else if (verb == "satq") {
             SaturationWindow w;
-            if (f.size() != 3 || !parseU64(f[1], w.start) ||
-                !parseU64(f[2], w.count) || w.count == 0)
+            if (f.size() != 3 ||
+                !util::parseDecimal(f[1], 0, UINT64_MAX, w.start) ||
+                !util::parseDecimal(f[2], 1, UINT64_MAX, w.count))
                 return fail("bad satq item '" + item +
                             "' (expected satq:START:COUNT, "
                             "count > 0)");

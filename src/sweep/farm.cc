@@ -1,9 +1,9 @@
 #include "sweep/farm.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace ct::sweep {
 
@@ -106,17 +106,6 @@ Farm::post(std::function<void(int)> task)
     chunk.task = std::move(task);
     enqueue(std::move(chunk),
             nextDeque.fetch_add(1, std::memory_order_relaxed));
-}
-
-void
-Farm::runBatch(std::size_t n,
-               const std::function<void(std::size_t, int)> &body)
-{
-    // Inline mode: post() runs each task immediately on the caller.
-    for (std::size_t i = 0; i < n; ++i)
-        post([&body, i](int worker) { body(i, worker); });
-    if (opts.threads > 0)
-        waitPosted();
 }
 
 void
@@ -225,17 +214,16 @@ Farm::stats() const
 bool
 parseThreadCount(const char *text, int &threads, std::string &error)
 {
-    char *end = nullptr;
-    long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0') {
+    std::uint64_t v = 0;
+    if (!util::isAllDigits(text)) {
         error = "thread count must be a decimal integer";
         return false;
     }
-    if (v < 1) {
+    if (util::parseDecimal(text, 0, 0, v)) {
         error = "thread count must be >= 1 (1 = serial)";
         return false;
     }
-    if (v > kMaxThreads) {
+    if (!util::parseDecimal(text, 1, kMaxThreads, v)) {
         error = "thread count exceeds the oversubscription cap of " +
                 std::to_string(kMaxThreads);
         return false;

@@ -122,19 +122,6 @@ class Farm
     /** Block until every post()ed task so far has finished. */
     void waitPosted();
 
-    /**
-     * Worker-loan batch: run body(index, worker) for every index in
-     * [0, n) as post()ed tasks (grain 1 -- loan batches are small
-     * and uneven, e.g. one task per event partition), blocking until
-     * all complete. This is the API long-lived owners (the parallel
-     * engine, the planning service) use to borrow the workers for a
-     * bounded burst; it shares waitPosted()'s accounting, so only
-     * call it when the caller is the farm's sole posting client, and
-     * never from a worker thread.
-     */
-    void runBatch(std::size_t n,
-                  const std::function<void(std::size_t, int)> &body);
-
     FarmStats stats() const;
 
   private:

@@ -1,7 +1,5 @@
 #include "sweep/grid.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
@@ -237,12 +235,9 @@ presetGrid(const std::string &name, std::string *error)
         std::string hi_text = dots == std::string::npos
                                   ? range
                                   : range.substr(dots + 2);
-        char *end = nullptr;
-        long lo = std::strtol(lo_text.c_str(), &end, 10);
-        bool lo_ok = !lo_text.empty() && *end == '\0';
-        long hi = std::strtol(hi_text.c_str(), &end, 10);
-        bool hi_ok = !hi_text.empty() && *end == '\0';
-        if (!lo_ok || !hi_ok || lo > hi ||
+        std::uint64_t lo = 0, hi = 0;
+        if (!util::parseDecimal(lo_text, 8, 8192, lo) ||
+            !util::parseDecimal(hi_text, 8, 8192, hi) || lo > hi ||
             !sim::validScaleNodes(static_cast<int>(lo)) ||
             !sim::validScaleNodes(static_cast<int>(hi))) {
             if (error)
@@ -252,7 +247,7 @@ presetGrid(const std::string &name, std::string *error)
             return std::nullopt;
         }
         std::vector<int> counts;
-        for (long n = lo; n <= hi; n *= 2)
+        for (std::uint64_t n = lo; n <= hi; n *= 2)
             counts.push_back(static_cast<int>(n));
         return Grid()
             .styles({"chained"})
@@ -391,14 +386,8 @@ Grid::parse(const std::string &spec, std::string *error)
         } else if (index == kWords) {
             std::vector<std::uint64_t> counts;
             for (const std::string &w : splitList(value, ',')) {
-                // Plain digits only: strtoull would wrap "-1" and
-                // saturate an overflow instead of failing.
-                errno = 0;
-                unsigned long long v =
-                    util::isAllDigits(w)
-                        ? std::strtoull(w.c_str(), nullptr, 10)
-                        : 0;
-                if (v == 0 || errno == ERANGE)
+                std::uint64_t v = 0;
+                if (!util::parseDecimal(w, 1, UINT64_MAX, v))
                     return fail("bad word count '" + w + "'");
                 counts.push_back(v);
             }
@@ -406,12 +395,9 @@ Grid::parse(const std::string &spec, std::string *error)
         } else if (index == kNodes) {
             std::vector<int> counts;
             for (const std::string &n : splitList(value, ',')) {
-                // At most five digits, so the int cannot wrap into a
-                // different valid size.
-                long v = util::isAllDigits(n) && n.size() <= 5
-                             ? std::strtol(n.c_str(), nullptr, 10)
-                             : 0;
-                if (!sim::validScaleNodes(static_cast<int>(v)))
+                std::uint64_t v = 0;
+                if (!util::parseDecimal(n, 8, 8192, v) ||
+                    !sim::validScaleNodes(static_cast<int>(v)))
                     return fail("bad node count '" + n +
                                 "' (powers of two in [8, 8192])");
                 counts.push_back(static_cast<int>(v));

@@ -47,4 +47,23 @@ isAllDigits(std::string_view s)
     return true;
 }
 
+bool
+parseDecimal(std::string_view s, std::uint64_t lo, std::uint64_t hi,
+             std::uint64_t &out)
+{
+    if (!isAllDigits(s))
+        return false;
+    std::uint64_t v = 0;
+    for (char c : s) {
+        auto digit = static_cast<std::uint64_t>(c - '0');
+        if (v > (UINT64_MAX - digit) / 10)
+            return false;
+        v = v * 10 + digit;
+    }
+    if (v < lo || v > hi)
+        return false;
+    out = v;
+    return true;
+}
+
 } // namespace ct::util

@@ -121,7 +121,7 @@ TEST(FlowGroups, EmptyFlowsSkipped)
 TEST(OwnerMap, HealthyIdentityStoresNoEntries)
 {
     // The healthy 8192-node map is O(lost nodes) == empty, not an
-    // 8192-entry table (DESIGN.md §16).
+    // 8192-entry table (DESIGN.md §15).
     OwnerMap map = OwnerMap::identity(8192);
     EXPECT_EQ(map.nodes, 8192);
     EXPECT_EQ(map.lostNodes(), 0);

@@ -291,7 +291,7 @@ TEST(ReliableLayer, ChannelsMaterializeOnlyForActivePairs)
 {
     // Channel state is keyed by the (src, dst) pairs the op touches:
     // a pair exchange on 8 nodes holds exactly 8 directed channels,
-    // never a nodeCount² matrix (DESIGN.md §16).
+    // never a nodeCount² matrix (DESIGN.md §15).
     auto run = runReliable(sim::t3dConfig({2, 2, 2}), "",
                            P::contiguous(), P::contiguous(), 64);
     EXPECT_EQ(run.transport.activeChannels, 8u);

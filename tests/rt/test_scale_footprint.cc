@@ -1,7 +1,7 @@
 /**
  * @file
  * Heap-budget witnesses for the active-set scaling contract
- * (DESIGN.md §16): analysis, planning and transport state must grow
+ * (DESIGN.md §15): analysis, planning and transport state must grow
  * with the *active* communication set, never with machine capacity.
  * This binary replaces global operator new/delete with a counting
  * allocator, so it is kept separate from the other test suites; the

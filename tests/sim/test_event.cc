@@ -1,5 +1,6 @@
 #include <array>
 #include <cstdint>
+#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -193,7 +194,7 @@ TEST(EventQueueDeath, PastScheduling)
 TEST(EventQueueDeath, NullCallback)
 {
     EventQueue q;
-    EXPECT_EXIT(q.schedule(1, EventQueue::Callback()),
+    EXPECT_EXIT(q.schedule(1, std::function<void()>()),
                 testing::ExitedWithCode(1), "null callback");
 }
 

@@ -66,6 +66,9 @@ TEST(SvcChaos, RejectsBadSpecsLoudly)
         "a;",                 // trailing empty item
         ";",                  // empty item
         "seed:x",             // non-numeric
+        "seed:-1",            // negative (would wrap)
+        "seed:+3",            // signed
+        "satq:1:18446744073709551616", // overflows 64 bits
     };
     for (const char *spec : bad) {
         std::string error;

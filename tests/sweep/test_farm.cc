@@ -152,39 +152,18 @@ TEST(ParseThreadCount, RejectsOversubscription)
     EXPECT_FALSE(sweep::parseThreadCount("1000", threads, error));
 }
 
-// The worker-loan API behind sim::ParallelEngine: run n bodies at
-// grain 1 and block until all complete.
-TEST(Farm, RunBatchExecutesEveryIndexOnce)
+TEST(ParseThreadCount, RejectsSignsSpacesAndOverflow)
 {
-    sweep::FarmOptions opts;
-    opts.threads = 4;
-    sweep::Farm farm(opts);
-    constexpr std::size_t kN = 300;
-    std::vector<std::atomic<int>> hits(kN);
-    std::vector<std::atomic<int>> byWorker(4);
-    farm.runBatch(kN, [&](std::size_t i, int worker) {
-        ASSERT_GE(worker, 0);
-        ASSERT_LT(worker, 4);
-        ++hits[i];
-        ++byWorker[static_cast<std::size_t>(worker)];
-    });
-    int total = 0;
-    for (std::size_t i = 0; i < kN; ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << i;
-        total += hits[i].load();
+    int threads = 7;
+    std::string error;
+    for (const char *text : {"+2", " 2", "2 ", "\t2", "0x2",
+                             "18446744073709551617"}) {
+        error.clear();
+        EXPECT_FALSE(sweep::parseThreadCount(text, threads, error))
+            << "accepted: '" << text << "'";
+        EXPECT_FALSE(error.empty()) << text;
     }
-    EXPECT_EQ(total, static_cast<int>(kN));
-}
-
-TEST(Farm, RunBatchInlineWhenSerial)
-{
-    sweep::Farm farm(sweep::FarmOptions{});
-    std::vector<std::size_t> order;
-    farm.runBatch(5, [&](std::size_t i, int worker) {
-        EXPECT_EQ(worker, 0);
-        order.push_back(i);
-    });
-    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(threads, 7);
 }
 
 } // namespace

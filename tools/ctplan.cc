@@ -46,15 +46,15 @@
  * validate and sweep accept --threads=N ([1, 256], 1 = serial) to
  * fan their cells across the work-stealing sweep farm; the output is
  * byte-identical for every thread count (DESIGN.md §14). Zero,
- * non-numeric and oversubscribed counts are a usage error (exit 2).
- * sim accepts the same --threads=N to run the single simulation on
- * the conservative parallel engine (DESIGN.md §15); the stdout
- * report and --metrics-out JSON are byte-identical for every thread
- * count. --transport=raw (bare chained layer) and
- * --transport=packing (bare buffer-packing layer) swap out the
- * reliable transport for the parallel-safe paths; both are
- * incompatible with --faults/--chaos/--adaptive, which need
- * retransmission.
+ * non-numeric and oversubscribed counts are a usage error (exit 2),
+ * and so is --threads on any other subcommand. Counts and sizes are
+ * plain decimal digits: a sign, a space or trailing text is a usage
+ * error, never a wrapped or truncated number.
+ *
+ * sim runs the exchange behind the reliable transport by default;
+ * --transport=raw (bare chained layer) and --transport=packing (bare
+ * buffer-packing layer) run it without one. Both are incompatible
+ * with --faults/--chaos/--adaptive, which need retransmission.
  *
  * The sim subcommand accepts --faults=SPEC to degrade the machine,
  * e.g. --faults=drop=1e-3,corrupt=1e-4,dup=1e-5,delay=200 (see
@@ -91,7 +91,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -113,6 +112,7 @@
 #include "svc/service.h"
 #include "sweep/farm.h"
 #include "sweep/grid.h"
+#include "util/string_util.h"
 #include "util/table.h"
 
 namespace {
@@ -137,7 +137,7 @@ usage()
         "       sim also takes [--chaos=SPEC] [--adaptive] "
         "[--rounds=N] [--trace=FILE]\n"
         "       [--trace-format=chrome|jsonl] [--metrics-out=FILE]\n"
-        "       [--threads=N] [--transport=reliable|raw|packing]\n"
+        "       [--transport=reliable|raw|packing]\n"
         "       ctplan validate [--json] [--out=FILE] "
         "[--threads=N]\n"
         "       ctplan sweep --grid=SPEC [--json] [--out=FILE] "
@@ -165,7 +165,7 @@ usage()
 
 /** Wire layer of the sim subcommand. Reliable is the default and
  *  the only one that can absorb faults; raw and packing run the bare
- *  parallel-safe layers (the paths the parallel engine exercises). */
+ *  chained and buffer-packing layers. */
 enum class SimTransport
 {
     Reliable,
@@ -269,8 +269,7 @@ int
 runSim(core::MachineId machine, const std::string &xqy,
        std::uint64_t words, const sim::FaultSpec &faults,
        const sim::ChaosSchedule &chaos, bool adaptive, int rounds,
-       const ObsOptions &obs_opts, int threads,
-       SimTransport transport)
+       const ObsOptions &obs_opts, SimTransport transport)
 {
     auto q = xqy.find('Q');
     if (q == std::string::npos) {
@@ -287,8 +286,6 @@ runSim(core::MachineId machine, const std::string &xqy,
     auto cfg = sim::configFor(machine);
     cfg.faults = faults;
     cfg.chaos = chaos;
-    // 1 = serial: run the plain event loop, no engine constructed.
-    cfg.threads = threads == 1 ? 0 : threads;
     sim::Machine m(cfg);
 
     std::unique_ptr<obs::Tracer> tracer;
@@ -316,9 +313,6 @@ runSim(core::MachineId machine, const std::string &xqy,
     }
 
     if (adaptive) {
-        // The resilience controller drives the reliable transport,
-        // whose cancellable retransmit timers are not window-safe.
-        m.setParallelEnabled(false);
         const rt::ResilienceOptions options;
         rt::ResilienceController controller(cfg, *x, *y, options);
         rt::AdaptiveResult ar =
@@ -403,8 +397,6 @@ runSim(core::MachineId machine, const std::string &xqy,
         reliable = rl.get();
         layer = std::move(rl);
     }
-    m.setParallelEnabled(layer->parallelSafe());
-    m.setParallelLookahead(layer->parallelLookahead(m, op));
     auto result = layer->run(m, op);
 
     // Exclude flows whose endpoint died mid-run from verification;
@@ -432,18 +424,6 @@ runSim(core::MachineId machine, const std::string &xqy,
     std::printf("\n");
     std::printf("  layer           %s%s\n", layer->name().c_str(),
                 result.degraded ? "  [DEGRADED to packing]" : "");
-    // Engine diagnostics go to stderr: the stdout report is part of
-    // the determinism contract and must not vary with --threads.
-    if (const sim::ParallelEngine *pe = m.parallelEngine())
-        std::fprintf(stderr,
-                     "  engine          %d threads, lookahead %llu "
-                     "cycles, %llu/%llu windows parallel\n",
-                     pe->threads(),
-                     static_cast<unsigned long long>(pe->lookahead()),
-                     static_cast<unsigned long long>(
-                         pe->stats().parallelWindows),
-                     static_cast<unsigned long long>(
-                         pe->stats().windows));
     std::printf("  goodput         %.2f MB/s per node\n",
                 result.perNodeMBps(m));
     std::printf("  makespan        %llu cycles\n",
@@ -717,17 +697,14 @@ main(int argc, char **argv)
         "--cache",          "--default-budget", "--svc-chaos",
         "--threads",        "--grid",      "--transport",
         "--nodes"};
-    // Shared helper for the serve subcommand's integer flags.
-    auto parse_count = [](const char *text, const char *flag,
-                          long min, long max, long &value) {
-        char *end = nullptr;
-        long v = std::strtol(text, &end, 10);
-        if (*end != '\0' || v < min || v > max) {
-            std::fprintf(stderr, "bad %s '%s'\n", flag, text);
-            return false;
-        }
-        value = v;
-        return true;
+    // Shared helper for the integer flags and positional counts.
+    auto parse_count = [](const char *text, const char *what,
+                          std::uint64_t min, std::uint64_t max,
+                          std::uint64_t &value) {
+        if (util::parseDecimal(text, min, max, value))
+            return true;
+        std::fprintf(stderr, "bad %s '%s'\n", what, text);
+        return false;
     };
     int nargs = 1;
     for (int i = 1; i < argc; ++i) {
@@ -759,13 +736,9 @@ main(int argc, char **argv)
             adaptive = true;
         else if (std::strncmp(argv[i], "--rounds=", 9) == 0 &&
                  argv[i][9]) {
-            char *end = nullptr;
-            long v = std::strtol(argv[i] + 9, &end, 10);
-            if (*end != '\0' || v < 1 || v > 1 << 20) {
-                std::fprintf(stderr, "bad --rounds '%s'\n",
-                             argv[i] + 9);
+            std::uint64_t v;
+            if (!parse_count(argv[i] + 9, "--rounds", 1, 1 << 20, v))
                 return usage();
-            }
             rounds = static_cast<int>(v);
             rounds_set = true;
         } else if (std::strcmp(argv[i], "--json") == 0)
@@ -792,21 +765,21 @@ main(int argc, char **argv)
             obs_opts.metricsFile = argv[i] + 14;
         else if (std::strncmp(argv[i], "--workers=", 10) == 0 &&
                  argv[i][10]) {
-            long v;
+            std::uint64_t v;
             if (!parse_count(argv[i] + 10, "--workers", 0, 256, v))
                 return usage();
             serve_opts.workers = static_cast<int>(v);
             serve_flags_set = true;
         } else if (std::strncmp(argv[i], "--queue=", 8) == 0 &&
                    argv[i][8]) {
-            long v;
+            std::uint64_t v;
             if (!parse_count(argv[i] + 8, "--queue", 1, 1 << 20, v))
                 return usage();
             serve_opts.queueCapacity = static_cast<std::size_t>(v);
             serve_flags_set = true;
         } else if (std::strncmp(argv[i], "--cache=", 8) == 0 &&
                    argv[i][8]) {
-            long v;
+            std::uint64_t v;
             if (!parse_count(argv[i] + 8, "--cache", 1, 1 << 20, v))
                 return usage();
             serve_opts.cacheCapacity = static_cast<std::size_t>(v);
@@ -814,15 +787,9 @@ main(int argc, char **argv)
         } else if (std::strncmp(argv[i], "--default-budget=", 17) ==
                        0 &&
                    argv[i][17]) {
-            char *end = nullptr;
-            unsigned long long v =
-                std::strtoull(argv[i] + 17, &end, 10);
-            if (*end != '\0') {
-                std::fprintf(stderr, "bad --default-budget '%s'\n",
-                             argv[i] + 17);
+            if (!parse_count(argv[i] + 17, "--default-budget", 0,
+                             UINT64_MAX, serve_opts.defaultBudget))
                 return usage();
-            }
-            serve_opts.defaultBudget = v;
             serve_flags_set = true;
         } else if (std::strncmp(argv[i], "--threads=", 10) == 0 &&
                    argv[i][10]) {
@@ -857,7 +824,7 @@ main(int argc, char **argv)
             grid_set = true;
         } else if (std::strncmp(argv[i], "--nodes=", 8) == 0 &&
                    argv[i][8]) {
-            long v;
+            std::uint64_t v;
             if (!parse_count(argv[i] + 8, "--nodes", 8, 8192, v))
                 return usage();
             if (!sim::validScaleNodes(static_cast<int>(v))) {
@@ -1005,10 +972,15 @@ main(int argc, char **argv)
                      "the sim subcommand only\n");
         return usage();
     }
-    if ((threads_set || transport_set) && cmd != "sim") {
+    if (threads_set) {
+        std::fprintf(stderr, "--threads applies to the validate and "
+                             "sweep subcommands only\n");
+        return usage();
+    }
+    if (transport_set && cmd != "sim") {
         std::fprintf(stderr,
-                     "--threads applies to the validate, sweep and "
-                     "sim subcommands only (--transport to sim)\n");
+                     "--transport applies to the sim subcommand "
+                     "only\n");
         return usage();
     }
     if (rounds_set && !adaptive) {
@@ -1045,18 +1017,15 @@ main(int argc, char **argv)
     if (cmd == "sim") {
         if (argc < 4)
             return usage();
+        // One node's RAM bounds the contiguous footprint of a flow.
         std::uint64_t words = 1024;
-        if (argc >= 5) {
-            words = std::strtoull(argv[4], nullptr, 10);
-            if (words == 0) {
-                std::fprintf(stderr, "bad word count '%s'\n",
-                             argv[4]);
-                return kExitUsage;
-            }
-        }
+        if (argc >= 5 &&
+            !parse_count(argv[4], "word count", 1,
+                         sim::configFor(machine).node.ramBytes / 8,
+                         words))
+            return kExitUsage;
         return runSim(machine, argv[3], words, faults, chaos,
-                      adaptive, rounds, obs_opts, threads,
-                      transport);
+                      adaptive, rounds, obs_opts, transport);
     }
 
     if (cmd == "eval") {
@@ -1110,12 +1079,9 @@ main(int argc, char **argv)
     std::vector<core::SizedPlan> sized;
     if (argc >= 4) {
         // Size-aware ranking via the latency-extended model.
-        bytes = static_cast<ct::util::Bytes>(
-            std::strtoull(argv[3], nullptr, 10));
-        if (bytes == 0) {
-            std::fprintf(stderr, "bad message size '%s'\n", argv[3]);
+        if (!parse_count(argv[3], "message size", 1, UINT64_MAX,
+                         bytes))
             return kExitUsage;
-        }
         sized = core::planForSize(machine, *x, *y, bytes);
     }
 
